@@ -18,7 +18,7 @@ from .core import (EnvSpec, EpisodeLog, Transition, eval_pure_exploit,
 from .emuq import EmuQ, EmuqConfig, v_max
 from .envs import make_env
 from .features import (FourierBasisMap, JointRffMap, RffMap,
-                       fourier_basis_embed, joint_embed, kernel_exact,
+                       fourier_basis_embed, kernel_exact,
                        make_fourier_basis, make_joint_map, rff_embed,
                        sample_rff)
 from .schedules import make_schedule, target_check
@@ -34,7 +34,7 @@ __all__ = [
     "EmuQ", "EmuqConfig", "v_max",
     "make_env",
     "RffMap", "JointRffMap", "FourierBasisMap", "sample_rff", "rff_embed",
-    "joint_embed", "make_joint_map", "make_fourier_basis",
+    "make_joint_map", "make_fourier_basis",
     "fourier_basis_embed", "kernel_exact",
     "make_schedule", "target_check",
     "EpsilonGreedyAgent", "AdditiveBonusAgent", "ExplorationValuesAgent",

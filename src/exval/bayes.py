@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-VARIANCE_SCALED = "scaled"      # V[y] = beta^{-1} phi^T S phi
-VARIANCE_ADDITIVE = "additive"  # V[y] = beta^{-1} + phi^T S phi
-
 
 def exact_posterior(Phi, y, alpha: float, beta: float):
     """Closed-form posterior (S, m) from a full design matrix.
@@ -83,30 +80,11 @@ class BayesianLinearModel:
         self.m = self.S @ self.t
         self.n_observed += 1
 
-    def observe_covariance_only(self, phi) -> None:
-        """Sherman-Morrison downdate of S without touching targets.
-
-        Used when targets for the row are not known yet and will be
-        installed later through ``set_targets``.
-        """
-        phi = np.asarray(phi, dtype=float)
-        u = self.S @ phi
-        denom = 1.0 + self.beta * float(phi @ u)
-        self.S -= (self.beta / denom) * np.outer(u, u)
-        self.n_observed += 1
-
     def set_targets(self, t_new) -> None:
         """Install a full replacement running-target matrix; m = S t."""
         t_new = np.asarray(t_new, dtype=float).reshape(self.n_features,
                                                        self.n_heads)
         self.t = t_new.copy()
-        self.m = self.S @ self.t
-
-    def add_targets(self, phi, y) -> None:
-        """t += beta * phi * y per head without altering S."""
-        phi = np.asarray(phi, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.t += self.beta * np.outer(phi, y)
         self.m = self.S @ self.t
 
     def symmetrize(self) -> None:
@@ -117,40 +95,11 @@ class BayesianLinearModel:
         """Posterior predictive mean(s); (n_heads,) or (N, n_heads)."""
         return np.asarray(phi, dtype=float) @ self.m
 
-    def quadratic_form(self, phi) -> float | np.ndarray:
-        """phi^T S phi for one row or row-wise for a batch."""
-        phi = np.asarray(phi, dtype=float)
-        if phi.ndim == 1:
-            return float(phi @ self.S @ phi)
-        return np.einsum("ij,ij->i", phi @ self.S, phi)
-
-    def predict_variance(self, phi, form: str = VARIANCE_SCALED):
-        """Posterior predictive variance under the chosen form."""
-        q = self.quadratic_form(phi)
-        if form == VARIANCE_SCALED:
-            return q / self.beta
-        if form == VARIANCE_ADDITIVE:
-            return 1.0 / self.beta + q
-        raise ValueError(f"unknown variance form: {form!r}")
-
-    def prior_variance(self, form: str = VARIANCE_SCALED) -> float:
-        """Predictive variance of a unit-norm feature under the prior.
-
-        This is the ceiling the posterior variance shrinks from; with the
-        scaled form it equals 1/(alpha beta), with the additive form
-        1/beta + 1/alpha.
-        """
-        if form == VARIANCE_SCALED:
-            return 1.0 / (self.alpha * self.beta)
-        if form == VARIANCE_ADDITIVE:
-            return 1.0 / self.beta + 1.0 / self.alpha
-        raise ValueError(f"unknown variance form: {form!r}")
-
     def centered_quadratic(self, phi):
         """phi^T (S - alpha^{-1} I) phi, row-wise for batches.
 
-        Equals quadratic_form(phi) - ||phi||^2 / alpha but evaluates to an
-        exact 0.0 on a fresh posterior, where S - alpha^{-1} I is the zero
+        Equals phi^T S phi - ||phi||^2 / alpha but evaluates to an exact
+        0.0 on a fresh posterior, where S - alpha^{-1} I is the zero
         matrix; the subtraction-of-nearly-equal-floats route does not.
         """
         phi = np.asarray(phi, dtype=float)
@@ -159,12 +108,3 @@ class BayesianLinearModel:
         if phi.ndim == 1:
             return float(phi @ centered @ phi)
         return np.einsum("ij,ij->i", phi @ centered, phi)
-
-    def copy(self) -> "BayesianLinearModel":
-        out = BayesianLinearModel(self.n_features, self.alpha, self.beta,
-                                  self.n_heads)
-        out.S = self.S.copy()
-        out.t = self.t.copy()
-        out.m = self.m.copy()
-        out.n_observed = self.n_observed
-        return out

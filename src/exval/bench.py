@@ -28,7 +28,7 @@ from .schedules import make_schedule
 from .tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                       ExplorationValuesAgent)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 RESULTS_DIR_VAR = "EXVAL_RESULTS_DIR"
 CSV_HEADER = ["run_id", "seed", "episode", "steps", "return", "kappa",
               "reached_goal", "first_goal_flag"]
@@ -189,17 +189,7 @@ def run_single(config: ExperimentConfig, seed: int,
             schedule.note_eval(evals, episode)
     result.latched_at = getattr(schedule, "latched_at", None)
     result.wall_time = time.perf_counter() - t0
-    if isinstance(agent, EmuQ):
-        result.agent_stats = {
-            "re_count": agent.re_count, "re_min": agent.re_min,
-            "re_max": agent.re_max,
-            "re_range_violations": agent.re_range_violations,
-            "var_max_seen": agent.var_max_seen,
-            "var_violations": agent.var_violations,
-            "sweeps_converged": all(
-                h["converged_q"] and h["converged_u"]
-                for h in agent.sweep_history),
-        }
+    result.agent_stats = agent.run_stats()
     return (result, agent) if keep_agent else result
 
 
@@ -378,7 +368,8 @@ def aggregate_rows(rows_by_seed: dict, target_stop: bool = False):
     return per_episode, summary
 
 
-def write_aggregates(out: Path, config: ExperimentConfig, results) -> None:
+def write_aggregates(out: Path, config: ExperimentConfig, results) -> dict:
+    """Write aggregate.csv and summary.csv; return the summary."""
     rows_by_seed = {r.seed: r.rows for r in results}
     per_episode, summary = aggregate_rows(
         rows_by_seed, target_stop=config.schedule_variant == "target_stop")
@@ -400,6 +391,7 @@ def write_aggregates(out: Path, config: ExperimentConfig, results) -> None:
                            if isinstance(summary[k], float) else summary[k])
                      for k in keys])
     (out / "summary.csv").write_text(buf.getvalue())
+    return summary
 
 
 def aggregate_directory(in_dir) -> dict:
@@ -412,42 +404,23 @@ def aggregate_directory(in_dir) -> dict:
     run_files = sorted(in_dir.glob("run_s*.csv"))
     if not run_files:
         raise ConfigError(f"no run CSVs in {in_dir}")
-    rows_by_seed = {}
-    for path in run_files:
-        seed, rows = read_run_csv(path)
-        rows_by_seed[seed] = rows
-
-    class _R:
-        def __init__(self, seed, rows):
-            self.seed, self.rows = seed, rows
-
-    write_aggregates(in_dir, config,
-                     [_R(s, rows_by_seed[s]) for s in sorted(rows_by_seed)])
-    _, summary = aggregate_rows(
-        rows_by_seed, target_stop=config.schedule_variant == "target_stop")
-    return summary
+    return write_aggregates(in_dir, config,
+                            [RunResult(*read_run_csv(path))
+                             for path in run_files])
 
 
 # -- checkpoints ---------------------------------------------------------
 
 def save_checkpoint(agent, path, config: ExperimentConfig) -> None:
+    """Write the agent's state_arrays plus what rebuilds agent and env."""
     arrays = {
         "version": np.asarray(CHECKPOINT_VERSION),
         "kind": np.asarray(config.agent_kind),
         "env_name": np.asarray(config.env_name),
         "env_params": np.asarray(json.dumps(config.env_params)),
         "agent_params": np.asarray(json.dumps(config.agent_params)),
+        **agent.state_arrays(),
     }
-    if isinstance(agent, EmuQ):
-        arrays.update(agent.state_arrays())
-    elif isinstance(agent, ExplorationValuesAgent):
-        arrays.update(q=agent.q, u=agent.u, counts=agent.counts)
-    elif isinstance(agent, AdditiveBonusAgent):
-        arrays.update(q=agent.q, counts=agent.counts)
-    elif isinstance(agent, EpsilonGreedyAgent):
-        arrays.update(q=agent.q)
-    else:
-        raise CheckpointError(f"cannot checkpoint {type(agent).__name__}")
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -478,17 +451,7 @@ def load_checkpoint(path):
         n_episodes=1, n_seeds=1)
     agent = make_agent(config, env, np.random.default_rng(0))
     try:
-        if isinstance(agent, EmuQ):
-            agent.load_state_arrays(data)
-        elif isinstance(agent, ExplorationValuesAgent):
-            agent.q = np.array(data["q"])
-            agent.u = np.array(data["u"])
-            agent.counts = np.array(data["counts"])
-        elif isinstance(agent, AdditiveBonusAgent):
-            agent.q = np.array(data["q"])
-            agent.counts = np.array(data["counts"])
-        else:
-            agent.q = np.array(data["q"])
+        agent.load_state_arrays(data)
     except KeyError as exc:
         raise CheckpointError(f"{path} is missing array {exc}") from None
     return agent, env

@@ -64,8 +64,12 @@ def cmd_run(args) -> int:
                              workers=args.workers,
                              save_checkpoints=not args.no_checkpoints)
     n_goal = sum(1 for r in results if r.episodes_to_first_goal is not None)
+    resolves = sum(r.agent_stats.get("resolves", 0) for r in results)
+    capped = sum(r.agent_stats.get("resolves_capped", 0) for r in results)
+    note = (f"; {capped} of {resolves} re-solves hit the iteration cap"
+            if resolves else "")
     print(f"{config.experiment}: {len(results)} runs -> {out} "
-          f"({n_goal} reached the goal)")
+          f"({n_goal} reached the goal{note})")
     return 0
 
 

@@ -35,19 +35,6 @@ class EnvSpec:
     def discrete_actions(self) -> bool:
         return self.n_actions is not None
 
-    def validate_action(self, action) -> None:
-        if self.n_actions is not None:
-            a = int(action)
-            if not 0 <= a < self.n_actions:
-                raise ValueError(f"action {a} outside [0, {self.n_actions})")
-            return
-        a = np.atleast_1d(np.asarray(action, dtype=float))
-        if a.shape[0] != self.action_low.shape[0]:
-            raise ValueError("action dimension mismatch")
-        if np.any(a < self.action_low - 1e-12) or np.any(
-                a > self.action_high + 1e-12):
-            raise ValueError(f"action {a} outside box")
-
 
 @dataclass(frozen=True)
 class StepOutcome:
@@ -88,7 +75,6 @@ class EpisodeLog:
     return_undiscounted: float = 0.0
     steps: int = 0
     reached_goal: bool = False
-    kappa_used: list = field(default_factory=list)
 
 
 def seed_streams(base_seed: int, run_seed: int):
@@ -129,7 +115,6 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
             agent.observe(tr, kappa, agent_rng)
         log.return_undiscounted += tr.reward
         log.steps += 1
-        log.kappa_used.append(kappa)
         if collect_transitions:
             log.transitions.append(tr)
         if outcome.goal:

@@ -25,9 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import (VARIANCE_ADDITIVE, VARIANCE_SCALED, BayesianLinearModel)
+from .bayes import BayesianLinearModel
 from .core import EnvSpec, Transition
-from .features import QUASI_RANDOM, JointRffMap, make_joint_map
+from .features import QUASI_RANDOM, JointRffMap, RffMap, make_joint_map
+
+# Rank-1 posterior updates between re-symmetrizations of the covariance.
+SYMMETRIZE_EVERY = 1000
 
 
 def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
@@ -48,8 +51,9 @@ def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
     return Cs @ Ac + Ss @ As
 
 
-def v_max(alpha: float, beta: float, form: str = VARIANCE_SCALED) -> float:
-    """Supremum of the predictive variance over unit-norm features.
+def v_max(alpha: float, beta: float) -> float:
+    """Supremum of the predictive variance beta^{-1} phi^T S phi over
+    unit-norm features.
 
     The posterior covariance's eigenvalues never exceed 1/alpha, so for
     unit-norm phi the epistemic term phi^T S phi is at most 1/alpha,
@@ -57,11 +61,7 @@ def v_max(alpha: float, beta: float, form: str = VARIANCE_SCALED) -> float:
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if form == VARIANCE_SCALED:
-        return 1.0 / (alpha * beta)
-    if form == VARIANCE_ADDITIVE:
-        return 1.0 / beta + 1.0 / alpha
-    raise ValueError(f"unknown variance form: {form!r}")
+    return 1.0 / (alpha * beta)
 
 
 @dataclass
@@ -77,15 +77,12 @@ class EmuqConfig:
     n_action_candidates: int = 100      # K, continuous action search
     n_expectation_samples: int = 64     # K_e, variance average samples
     n_sweep_candidates: int = 20        # policy candidates inside sweeps
-    variance_form: str = VARIANCE_SCALED
     sweep_tol: float = 1e-6
     sweep_max_iters: int = 200
-    r_e_override: float | None = None   # force a constant r_e (diagnostics)
-    symmetrize_every: int = 1000
 
     @property
     def v_max(self) -> float:
-        return v_max(self.alpha, self.beta, self.variance_form)
+        return v_max(self.alpha, self.beta)
 
     def effective_kappa(self) -> float:
         return 1.0 / self.v_max if self.kappa is None else float(self.kappa)
@@ -105,26 +102,18 @@ class EmuQ:
         self.spec = env_spec
         self.config = config
         feature_seed = int(rng.integers(2 ** 63))
-        if env_spec.discrete_actions:
-            self.fmap = make_joint_map(
-                env_spec.state_dim, config.lengthscale_state,
-                n_features=config.n_features, scheme=config.scheme,
-                seed=feature_seed, n_actions=env_spec.n_actions,
-                lengthscale_action=config.lengthscale_action)
-        else:
-            self.fmap = make_joint_map(
-                env_spec.state_dim, config.lengthscale_state,
-                n_features=config.n_features, scheme=config.scheme,
-                seed=feature_seed, action_low=env_spec.action_low,
-                action_high=env_spec.action_high,
-                lengthscale_action=config.lengthscale_action)
+        self.fmap = make_joint_map(
+            env_spec.state_dim, config.lengthscale_state,
+            n_features=config.n_features, scheme=config.scheme,
+            seed=feature_seed, n_actions=env_spec.n_actions,
+            action_low=env_spec.action_low, action_high=env_spec.action_high,
+            lengthscale_action=config.lengthscale_action)
         self.model = BayesianLinearModel(config.n_features, config.alpha,
                                          config.beta, n_heads=2)
         self._phi_rows: list[np.ndarray] = []
         self._rewards: list[float] = []
         self._next_obs: list[np.ndarray] = []
         self._absorbing: list[bool] = []
-        self._r_e: list[float] = []
         # Largest reward magnitude seen; floors the Q bootstrap range at
         # unit scale before any reward has arrived.
         self._r_abs_max = 1.0
@@ -146,38 +135,37 @@ class EmuQ:
     def _as_state(self, obs) -> np.ndarray:
         return np.atleast_1d(np.asarray(obs, dtype=float))
 
-    def _candidate_actions(self, rng) -> np.ndarray:
-        """Uniform box samples, endpoints appended for 1-D actions."""
+    def _candidates(self, rng, n: int, endpoints: bool) -> np.ndarray:
+        """Every discrete action, or n uniform box samples with the box
+        endpoints appended for 1-D actions when ``endpoints`` is set."""
+        if self.spec.discrete_actions:
+            return np.arange(self.spec.n_actions)
         low, high = self.spec.action_low, self.spec.action_high
-        cands = rng.uniform(low, high,
-                            size=(self.config.n_action_candidates,
-                                  low.shape[0]))
-        if low.shape[0] == 1:
+        cands = rng.uniform(low, high, size=(n, low.shape[0]))
+        if endpoints and low.shape[0] == 1:
             cands = np.vstack([cands, low[None, :], high[None, :]])
         return cands
 
     def _pair_features(self, obs, actions) -> np.ndarray:
+        """Feature rows of one state paired with each action in turn."""
         state = self._as_state(obs)
         states = np.broadcast_to(state, (len(actions), state.shape[0]))
         return self.fmap.embed_pairs(states, actions)
 
+    def _row(self, obs, action) -> np.ndarray:
+        """Feature row of one (state, action) pair."""
+        return self._pair_features(obs, [action])[0]
+
     def predict(self, obs, action) -> tuple[float, float]:
         """(Q, U) posterior means for one state-action pair."""
-        if self.spec.discrete_actions:
-            phi = self._pair_features(obs, np.array([int(action)]))[0]
-        else:
-            phi = self._pair_features(
-                obs, np.asarray(action, dtype=float).reshape(1, -1))[0]
-        q, u = self.model.predict_mean(phi)
+        q, u = self.model.predict_mean(self._row(obs, action))
         return float(q), float(u)
 
     # -- acting ----------------------------------------------------------
 
     def act(self, obs, kappa: float, rng):
-        if self.spec.discrete_actions:
-            actions = np.arange(self.spec.n_actions)
-        else:
-            actions = self._candidate_actions(rng)
+        actions = self._candidates(rng, self.config.n_action_candidates,
+                                   endpoints=True)
         phi = self._pair_features(obs, actions)
         means = phi @ self.model.m                    # (K, 2)
         balanced = means[:, 0] + kappa * means[:, 1]
@@ -188,14 +176,6 @@ class EmuQ:
 
     # -- exploration reward ----------------------------------------------
 
-    def _variance_candidates(self, rng) -> np.ndarray:
-        if self.spec.discrete_actions:
-            return np.arange(self.spec.n_actions)
-        low, high = self.spec.action_low, self.spec.action_high
-        return rng.uniform(low, high,
-                           size=(self.config.n_expectation_samples,
-                                 low.shape[0]))
-
     def _re_from_centered(self, centered: np.ndarray) -> float:
         """Map mean centered quadratic form phi^T (S - I/alpha) phi to r_e.
 
@@ -203,12 +183,7 @@ class EmuQ:
         result is an exact 0.0; as data accumulates it falls toward
         -V_max.  Clipping guards the bounds against rounding drift.
         """
-        c = self.config
-        mean_centered = float(np.mean(centered))
-        if c.variance_form == VARIANCE_SCALED:
-            raw = mean_centered / c.beta
-        else:
-            raw = mean_centered
+        raw = float(np.mean(centered)) / self.config.beta
         if raw > 1e-9 or raw < -self.v_max - 1e-9:
             self.re_range_violations += 1
         return float(np.clip(raw, -self.v_max, 0.0))
@@ -216,19 +191,13 @@ class EmuQ:
     def exploration_reward(self, obs_next, rng) -> float:
         """Average posterior Q-variance over actions at s', minus V_max."""
         c = self.config
-        if c.r_e_override is not None:
-            r_e = float(np.clip(c.r_e_override, -self.v_max, 0.0))
-            self._note_re(r_e)
-            return r_e
-        actions = self._variance_candidates(rng)
+        actions = self._candidates(rng, c.n_expectation_samples,
+                                   endpoints=False)
         phi = self._pair_features(obs_next, actions)
         centered = self.model.centered_quadratic(phi)
         norms = np.einsum("ij,ij->i", phi, phi)
         epistemic = centered + norms / c.alpha        # phi^T S phi rows
-        if c.variance_form == VARIANCE_SCALED:
-            variances = epistemic / c.beta
-        else:
-            variances = 1.0 / c.beta + epistemic
+        variances = epistemic / c.beta
         self.var_max_seen = max(self.var_max_seen, float(variances.max()))
         if np.any(variances > self.v_max + 1e-9):
             self.var_violations += 1
@@ -263,25 +232,13 @@ class EmuQ:
     def observe(self, tr: Transition, kappa: float, rng) -> None:
         c = self.config
         self._r_abs_max = max(self._r_abs_max, abs(float(tr.reward)))
-        if self.spec.discrete_actions:
-            phi = self._pair_features(tr.state,
-                                      np.array([int(tr.action)]))[0]
-        else:
-            phi = self._pair_features(
-                tr.state,
-                np.asarray(tr.action, dtype=float).reshape(1, -1))[0]
+        phi = self._row(tr.state, tr.action)
         r_e = self.exploration_reward(tr.next_state, rng)
         if tr.absorbing:
             boot_q = boot_u = 0.0
         else:
             a_next = self.act(tr.next_state, kappa, rng)
-            if self.spec.discrete_actions:
-                phi_next = self._pair_features(
-                    tr.next_state, np.array([int(a_next)]))[0]
-            else:
-                phi_next = self._pair_features(
-                    tr.next_state, a_next.reshape(1, -1))[0]
-            boot_q, boot_u = phi_next @ self.model.m
+            boot_q, boot_u = self._row(tr.next_state, a_next) @ self.model.m
             bounds = self._boot_bounds()
             if bounds is not None:
                 (q_lo, q_hi), (u_lo, u_hi) = bounds
@@ -289,29 +246,18 @@ class EmuQ:
                 boot_u = float(np.clip(boot_u, u_lo, u_hi))
         self.model.observe(phi, [tr.reward + c.gamma * boot_q,
                                  r_e + c.gamma * boot_u])
-        if self.model.n_observed % c.symmetrize_every == 0:
+        if self.model.n_observed % SYMMETRIZE_EVERY == 0:
             self.model.symmetrize()
         self._phi_rows.append(phi)
         self._rewards.append(float(tr.reward))
         self._next_obs.append(self._as_state(tr.next_state))
         self._absorbing.append(bool(tr.absorbing))
-        self._r_e.append(r_e)
 
     def end_episode(self, kappa: float, rng) -> None:
         if self._phi_rows:
             self._sweep(kappa, rng)
 
     # -- episode sweep ---------------------------------------------------
-
-    def _sweep_action_set(self, rng) -> np.ndarray:
-        if self.spec.discrete_actions:
-            return np.arange(self.spec.n_actions)
-        low, high = self.spec.action_low, self.spec.action_high
-        cands = rng.uniform(low, high, size=(self.config.n_sweep_candidates,
-                                             low.shape[0]))
-        if low.shape[0] == 1:
-            cands = np.vstack([cands, low[None, :], high[None, :]])
-        return cands
 
     def _sweep(self, kappa: float, rng) -> None:
         """Fixed-point re-solve of both weight means over the full store.
@@ -333,7 +279,7 @@ class EmuQ:
         proj_s = self.fmap.state_projection(next_states)
         Cs, Ss = np.cos(proj_s), np.sin(proj_s)
 
-        actions = self._sweep_action_set(rng)
+        actions = self._candidates(rng, c.n_sweep_candidates, endpoints=True)
         proj_a = self.fmap.action_projection(actions)
         Ca, Sa = np.cos(proj_a), np.sin(proj_a)
 
@@ -384,8 +330,7 @@ class EmuQ:
                                              values_u_fixed, 1.0, kappa,
                                              q_lo, q_hi)
 
-        r_e = self._recompute_exploration_rewards(Cs, Ss, absorbing, rng)
-        self._r_e = list(r_e)
+        r_e = self._recompute_exploration_rewards(Cs, Ss, rng)
 
         values_q_fixed = pair_values(m_q)
         m_u, t_u, iters_u, ok_u = solve_head(r_e, m_u0, self.model.t[:, 1],
@@ -398,7 +343,7 @@ class EmuQ:
             "iters_u": iters_u, "converged_u": ok_u,
         })
 
-    def _recompute_exploration_rewards(self, Cs, Ss, absorbing, rng):
+    def _recompute_exploration_rewards(self, Cs, Ss, rng):
         """Exploration rewards for all stored next states under current S.
 
         Uses the exact average over the candidate action set: with
@@ -407,11 +352,9 @@ class EmuQ:
         per state (brute-force-checked in the test suite).
         """
         c = self.config
-        if c.r_e_override is not None:
-            value = float(np.clip(c.r_e_override, -self.v_max, 0.0))
-            return np.full(Cs.shape[0], value)
         n_spectral = self.fmap.n_spectral
-        actions = self._variance_candidates(rng)
+        actions = self._candidates(rng, c.n_expectation_samples,
+                                   endpoints=False)
         proj_a = self.fmap.action_projection(actions)
         Ca, Sa = np.cos(proj_a), np.sin(proj_a)
         k = actions.shape[0]
@@ -434,16 +377,27 @@ class EmuQ:
 
         F = np.concatenate([Cs, Ss], axis=1)
         mean_centered = np.einsum("ij,ij->i", F @ blocks, F) / n_spectral
-        if c.variance_form == VARIANCE_SCALED:
-            raw = mean_centered / c.beta
-        else:
-            raw = mean_centered
-        return np.clip(raw, -self.v_max, 0.0)
+        return np.clip(mean_centered / c.beta, -self.v_max, 0.0)
 
-    # -- checkpointing ---------------------------------------------------
+    # -- run statistics and checkpointing --------------------------------
+
+    def run_stats(self) -> dict:
+        """Invariant monitors and re-solve counts of the run so far."""
+        cap = self.config.sweep_max_iters
+        capped = sum(not h[f"converged_{head}"] and h[f"iters_{head}"] == cap
+                     for h in self.sweep_history for head in ("q", "u"))
+        return {
+            "re_count": self.re_count, "re_min": self.re_min,
+            "re_max": self.re_max,
+            "re_range_violations": self.re_range_violations,
+            "var_max_seen": self.var_max_seen,
+            "var_violations": self.var_violations,
+            "resolves": 2 * len(self.sweep_history),
+            "resolves_capped": capped,
+        }
 
     def state_arrays(self) -> dict:
-        """Posterior and feature-map arrays for checkpointing."""
+        """Posterior, feature map and transition store for checkpointing."""
         return {
             "S": self.model.S, "m": self.model.m, "t": self.model.t,
             "n_observed": np.asarray(self.model.n_observed),
@@ -451,12 +405,16 @@ class EmuQ:
             "lengthscales": self.fmap.rff.lengthscales,
             "feature_scheme": np.asarray(self.fmap.rff.scheme),
             "feature_seed": np.asarray(self.fmap.rff.seed),
+            "phi_rows": np.reshape(self._phi_rows, (-1, self.fmap.n_features)),
+            "rewards": np.asarray(self._rewards, dtype=float),
+            "next_obs": np.reshape(self._next_obs, (-1, self.fmap.state_dim)),
+            "absorbing": np.asarray(self._absorbing, dtype=bool),
+            "r_abs_max": np.asarray(self._r_abs_max),
         }
 
     def load_state_arrays(self, arrays) -> None:
-        """Restore posterior and feature map exactly as checkpointed."""
-        from .features import RffMap
-
+        """Restore everything state_arrays saved, exactly as saved, so
+        training continues as if it had never stopped."""
         freqs = np.array(arrays["frequencies"])
         freqs.setflags(write=False)
         rff = RffMap(frequencies=freqs,
@@ -473,3 +431,8 @@ class EmuQ:
         self.model.t = np.array(arrays["t"])
         self.model.m = np.array(arrays["m"])
         self.model.n_observed = int(arrays["n_observed"])
+        self._phi_rows = list(np.array(arrays["phi_rows"]))
+        self._rewards = [float(r) for r in arrays["rewards"]]
+        self._next_obs = list(np.array(arrays["next_obs"]))
+        self._absorbing = [bool(a) for a in arrays["absorbing"]]
+        self._r_abs_max = float(arrays["r_abs_max"])

@@ -38,7 +38,7 @@ class ChainEnv:
         self.semi_sparse_p = semi_sparse_p
         self.vector_obs = bool(vector_obs)
         self.spec = EnvSpec(
-            state_dim=1 if vector_obs else 1,
+            state_dim=1,
             max_episode_steps=max_episode_steps,
             n_states=self.n,
             n_actions=2,

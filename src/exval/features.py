@@ -18,10 +18,9 @@ feature map, so maps can be shared freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 MONTE_CARLO = "monte-carlo"
 QUASI_RANDOM = "quasi-random"
@@ -92,6 +91,10 @@ def sample_rff(lengthscales, n_spectral: int, scheme: str = MONTE_CARLO,
         rng = np.random.default_rng(seed)
         unit = rng.standard_normal((d, n_spectral))
     elif scheme == QUASI_RANDOM:
+        # scipy.stats takes most of a second to import; only this scheme
+        # needs it, so tabular runs never pay for it.
+        from scipy.stats import norm, qmc
+
         halton = qmc.Halton(d=d, scramble=True, seed=seed)
         u = halton.random(n_spectral)      # (n_spectral, d) in (0, 1)
         unit = norm.ppf(u).T
@@ -134,7 +137,6 @@ class JointRffMap:
     action_low: np.ndarray | None = None    # None for one-hot discrete
     action_high: np.ndarray | None = None
     n_actions: int | None = None            # set for discrete actions
-    _eye: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_features(self) -> int:
@@ -176,11 +178,6 @@ class JointRffMap:
         proj = self.state_projection(states) + self.action_projection(actions)
         scale = 1.0 / np.sqrt(self.n_spectral)
         return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) * scale
-
-
-def joint_embed(state, action, fmap: JointRffMap) -> np.ndarray:
-    """Embed a (state, action) pair; see JointRffMap.embed."""
-    return fmap.embed(state, action)
 
 
 def make_joint_map(state_dim: int, lengthscale_state, *, n_features: int,

@@ -42,7 +42,30 @@ def greedy_action(row: np.ndarray) -> int:
     return int(np.argmax(row))
 
 
-class EpsilonGreedyAgent:
+class TabularAgent:
+    """What the table agents share: no episode-end work, no run
+    statistics, and checkpoint state made of the tables named in
+    ``TABLES``."""
+
+    TABLES: tuple[str, ...] = ()
+
+    def end_episode(self, kappa: float, rng) -> None:
+        pass
+
+    def run_stats(self) -> dict:
+        return {}
+
+    def state_arrays(self) -> dict:
+        return {name: getattr(self, name) for name in self.TABLES}
+
+    def load_state_arrays(self, arrays) -> None:
+        for name in self.TABLES:
+            setattr(self, name, np.array(arrays[name]))
+
+
+class EpsilonGreedyAgent(TabularAgent):
+    TABLES = ("q",)
+
     def __init__(self, n_states: int, n_actions: int, epsilon: float = 0.1,
                  lr: float = 0.1, gamma: float = 0.99):
         self.q = np.zeros((n_states, n_actions))
@@ -66,11 +89,10 @@ class EpsilonGreedyAgent:
         q_update(self.q, tr.state, tr.action, tr.reward, tr.next_state,
                  tr.absorbing, self.lr, self.gamma)
 
-    def end_episode(self, kappa: float, rng) -> None:
-        pass
 
+class AdditiveBonusAgent(TabularAgent):
+    TABLES = ("q", "counts")
 
-class AdditiveBonusAgent:
     def __init__(self, n_states: int, n_actions: int, xi: float = 1.0,
                  lr: float = 0.1, gamma: float = 0.99):
         self.q = np.zeros((n_states, n_actions))
@@ -88,11 +110,10 @@ class AdditiveBonusAgent:
                  tr.next_state, tr.absorbing, self.lr, self.gamma)
         self.counts[tr.state, tr.action] += 1
 
-    def end_episode(self, kappa: float, rng) -> None:
-        pass
 
+class ExplorationValuesAgent(TabularAgent):
+    TABLES = ("q", "u", "counts")
 
-class ExplorationValuesAgent:
     def __init__(self, n_states: int, n_actions: int, lr: float = 0.1,
                  gamma: float = 0.99):
         self.q = np.zeros((n_states, n_actions))
@@ -111,6 +132,3 @@ class ExplorationValuesAgent:
         q_update(self.u, tr.state, tr.action, bonus, tr.next_state,
                  tr.absorbing, self.lr, self.gamma)
         self.counts[tr.state, tr.action] += 1
-
-    def end_episode(self, kappa: float, rng) -> None:
-        pass

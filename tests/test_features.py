@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from exval.features import (MONTE_CARLO, QUASI_RANDOM, FourierBasisMap,
-                            JointRffMap, fourier_basis_embed, joint_embed,
-                            kernel_exact, make_fourier_basis, make_joint_map,
-                            rff_embed, sample_rff)
+                            fourier_basis_embed, kernel_exact,
+                            make_fourier_basis, make_joint_map, rff_embed,
+                            sample_rff)
 
 
 def test_kernel_exact_basic_identities():
@@ -159,8 +159,6 @@ def test_embed_pairs_matches_single_embeds():
         singles = np.array([fmap.embed(s, a)
                             for s, a in zip(states, actions)])
         npt.assert_allclose(batch, singles, atol=1e-13)
-        npt.assert_allclose(joint_embed(states[0], actions[0], fmap),
-                            batch[0], atol=1e-13)
 
 
 def test_joint_embedding_approximates_product_kernel():
