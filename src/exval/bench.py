@@ -178,7 +178,7 @@ def run_single(config: ExperimentConfig, seed: int,
         kappa = schedule.kappa_at(episode)
         frozen = schedule.frozen_at(episode)
         log = run_episode(env, agent, env_rng, agent_rng, kappa=kappa,
-                          learn=not frozen, collect_transitions=False)
+                          learn=not frozen)
         first = (result.episodes_to_first_goal is None and log.reached_goal)
         if first:
             result.episodes_to_first_goal = episode
@@ -193,15 +193,13 @@ def run_single(config: ExperimentConfig, seed: int,
     return (result, agent) if keep_agent else result
 
 
-def _run_single_dict(args):
-    """Worker entry point: run one seed, save its checkpoint if asked."""
-    raw, seed, out_str, save_ckpt = args
-    config = ExperimentConfig.from_dict(raw)
-    if not save_ckpt:
-        return run_single(config, seed)
+def _run_seed(config: ExperimentConfig, seed: int, out: Path,
+              save_checkpoints: bool) -> RunResult:
+    """Run one seed and save its checkpoint if asked; both the serial
+    loop and the worker pool of run_experiment run seeds through here."""
     result, agent = run_single(config, seed, keep_agent=True)
-    save_checkpoint(agent, Path(out_str) / f"checkpoint_s{seed:03d}.npz",
-                    config)
+    if save_checkpoints:
+        save_checkpoint(agent, out / f"checkpoint_s{seed:03d}.npz", config)
     return result
 
 
@@ -249,22 +247,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, n_seeds=None,
     if workers <= 1:
         for seed in range(n):
             try:
-                if save_checkpoints:
-                    result, agent = run_single(config, seed, keep_agent=True)
-                    save_checkpoint(agent, out / f"checkpoint_s{seed:03d}.npz",
-                                    config)
-                else:
-                    result = run_single(config, seed)
+                results[seed] = _run_seed(config, seed, out, save_checkpoints)
             except Exception as exc:    # flush what we have, then re-raise
                 failure = exc
                 break
-            results[seed] = result
     else:
-        raw = config.to_dict()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(_run_single_dict,
-                                         (raw, seed, str(out),
-                                          save_checkpoints))
+            futures = {seed: pool.submit(_run_seed, config, seed, out,
+                                         save_checkpoints)
                        for seed in range(n)}
             for seed in range(n):
                 try:
@@ -297,18 +287,30 @@ def run_experiment(config: ExperimentConfig, out_dir=None, n_seeds=None,
 # -- aggregation ---------------------------------------------------------
 
 def read_run_csv(path):
-    """Parse one per-run CSV back into (seed, rows)."""
+    """Parse one per-run CSV back into (seed, rows).
+
+    A file without rows, or with a row that is short or not numeric,
+    raises ConfigError naming the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}")
         rows = []
-        seed = None
-        for run_id, s, episode, steps, ret, kappa, reached, first in reader:
-            seed = int(s)
-            rows.append((int(episode), int(steps), float(ret), float(kappa),
-                         int(reached), int(first)))
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(CSV_HEADER):
+                raise ConfigError(f"{path} line {line}: {len(row)} columns, "
+                                  f"expected {len(CSV_HEADER)}")
+            _, s, episode, steps, ret, kappa, reached, first = row
+            try:
+                seed = int(s)
+                rows.append((int(episode), int(steps), float(ret),
+                             float(kappa), int(reached), int(first)))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {line}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path} has no rows")
     return seed, rows
 
 
@@ -439,11 +441,20 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"checkpoint version {version} unsupported "
             f"(expected {CHECKPOINT_VERSION})")
+    missing = [key for key in ("kind", "env_name", "env_params",
+                               "agent_params") if key not in data.files]
+    if missing:
+        raise CheckpointError(f"{path} is missing {', '.join(missing)}")
     kind = str(data["kind"])
+    if kind not in AGENT_KINDS:
+        raise CheckpointError(f"{path} has unknown agent kind {kind!r}")
     env_name = str(data["env_name"])
-    env_params = json.loads(str(data["env_params"]))
-    agent_params = json.loads(str(data["agent_params"]))
-    env = make_env(env_name, **env_params)
+    try:
+        env_params = json.loads(str(data["env_params"]))
+        agent_params = json.loads(str(data["agent_params"]))
+        env = make_env(env_name, **env_params)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path} has bad metadata: {exc}") from None
     config = ExperimentConfig(
         experiment="checkpoint", env_name=env_name, env_params=env_params,
         agent_kind=kind, agent_params=agent_params,

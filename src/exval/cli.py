@@ -6,8 +6,9 @@ Subcommands:
   execute an experiment config across seeds and write CSVs/checkpoints.
 * ``aggregate --in DIR``
   recompute aggregate.csv and summary.csv from a results directory.
-* ``eval --checkpoint FILE --env NAME --episodes N [--seed S]``
-  score a checkpointed agent with pure exploitation.
+* ``eval --checkpoint FILE --episodes N [--seed S]``
+  score a checkpointed agent with pure exploitation on the environment
+  saved with it.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -23,7 +24,6 @@ from .bench import (CheckpointError, ConfigError, aggregate_directory,
                     load_checkpoint, load_config, resolve_out_dir,
                     run_experiment)
 from .core import eval_pure_exploit
-from .envs import make_env
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="score a checkpointed agent")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--env", required=True)
     p_eval.add_argument("--episodes", type=int, required=True)
     p_eval.add_argument("--seed", type=int, default=0)
     return parser
@@ -83,14 +82,7 @@ def cmd_aggregate(args) -> int:
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError("--episodes must be >= 1")
-    agent, ckpt_env = load_checkpoint(args.checkpoint)
-    if _env_matches(ckpt_env, args.env):
-        env = ckpt_env    # keep the checkpoint's env parameters
-    else:
-        try:
-            env = make_env(args.env)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    agent, env = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     returns = eval_pure_exploit(env, agent, args.episodes, rng)
     print(f"episodes: {args.episodes}")
@@ -99,12 +91,6 @@ def cmd_eval(args) -> int:
     print(f"min_return: {float(np.min(returns))!r}")
     print(f"max_return: {float(np.max(returns))!r}")
     return 0
-
-
-def _env_matches(env, name: str) -> bool:
-    from .envs import _REGISTRY
-    cls = _REGISTRY.get(name)
-    return cls is not None and isinstance(env, cls)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ evaluations never perturb training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class Transition:
 
 @dataclass
 class EpisodeLog:
-    transitions: list = field(default_factory=list)
     return_undiscounted: float = 0.0
     steps: int = 0
     reached_goal: bool = False
@@ -90,15 +89,14 @@ def seed_streams(base_seed: int, run_seed: int):
 
 
 def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
-                learn: bool = True, max_steps: int | None = None,
-                collect_transitions: bool = True) -> EpisodeLog:
-    """Run one episode to termination or the step cap.
+                learn: bool = True) -> EpisodeLog:
+    """Run one episode to termination or the env's step cap.
 
     In learning mode the agent sees every transition through ``observe``
     and gets an ``end_episode`` hook; otherwise the agent is only asked
     to act and its internal state must come out bitwise untouched.
     """
-    cap = env.spec.max_episode_steps if max_steps is None else max_steps
+    cap = env.spec.max_episode_steps
     log = EpisodeLog()
     raw = env.reset(env_rng)
     obs = env.observe(raw)
@@ -115,8 +113,6 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
             agent.observe(tr, kappa, agent_rng)
         log.return_undiscounted += tr.reward
         log.steps += 1
-        if collect_transitions:
-            log.transitions.append(tr)
         if outcome.goal:
             log.reached_goal = True
         if tr.terminal:
@@ -128,8 +124,7 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
     return log
 
 
-def eval_pure_exploit(env, agent, n_episodes: int, eval_rng,
-                      max_steps: int | None = None) -> np.ndarray:
+def eval_pure_exploit(env, agent, n_episodes: int, eval_rng) -> np.ndarray:
     """Score the current policy with exploration off and models frozen.
 
     Runs n_episodes greedy-in-Q episodes (kappa forced to 0, no learning)
@@ -139,7 +134,6 @@ def eval_pure_exploit(env, agent, n_episodes: int, eval_rng,
     returns = np.empty(n_episodes)
     for i in range(n_episodes):
         log = run_episode(env, agent, eval_rng, eval_rng, kappa=0.0,
-                          learn=False, max_steps=max_steps,
-                          collect_transitions=False)
+                          learn=False)
         returns[i] = log.return_undiscounted
     return returns

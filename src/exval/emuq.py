@@ -31,6 +31,10 @@ from .features import QUASI_RANDOM, JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
 SYMMETRIZE_EVERY = 1000
+# Episode-end re-solve: stop once no weight moves by more than SWEEP_TOL,
+# or after SWEEP_MAX_ITERS iterations.
+SWEEP_TOL = 1e-6
+SWEEP_MAX_ITERS = 200
 
 
 def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
@@ -69,23 +73,16 @@ class EmuqConfig:
     gamma: float = 0.99
     alpha: float = 0.1
     beta: float = 1.0
-    kappa: float | None = None          # None selects 1/V_max
     n_features: int = 300
     lengthscale_state: float = 0.3
     lengthscale_action: float = 1.0
-    scheme: str = QUASI_RANDOM
     n_action_candidates: int = 100      # K, continuous action search
     n_expectation_samples: int = 64     # K_e, variance average samples
     n_sweep_candidates: int = 20        # policy candidates inside sweeps
-    sweep_tol: float = 1e-6
-    sweep_max_iters: int = 200
 
     @property
     def v_max(self) -> float:
         return v_max(self.alpha, self.beta)
-
-    def effective_kappa(self) -> float:
-        return 1.0 / self.v_max if self.kappa is None else float(self.kappa)
 
 
 class EmuQ:
@@ -104,7 +101,7 @@ class EmuQ:
         feature_seed = int(rng.integers(2 ** 63))
         self.fmap = make_joint_map(
             env_spec.state_dim, config.lengthscale_state,
-            n_features=config.n_features, scheme=config.scheme,
+            n_features=config.n_features, scheme=QUASI_RANDOM,
             seed=feature_seed, n_actions=env_spec.n_actions,
             action_low=env_spec.action_low, action_high=env_spec.action_high,
             lengthscale_action=config.lengthscale_action)
@@ -213,20 +210,22 @@ class EmuQ:
     # -- learning --------------------------------------------------------
 
     def _boot_bounds(self):
-        """Attainable value ranges for the two heads, or None if unbounded.
+        """Attainable (lo, hi) value ranges for the Q and U heads.
 
         A discounted sum of per-step quantities in [lo, hi] lies in
-        [lo, hi] / (1 - gamma).  Projecting bootstraps there discards
-        only impossible values, and it breaks the runaway feedback that
-        bootstrapped regression develops under a weak prior (small
-        alpha), where one reward can amplify through S by up to 1/alpha
-        per step.
+        [lo, hi] / (1 - gamma); at gamma >= 1 the spans are infinite,
+        though U, a sum of non-positive rewards, stays capped at 0.
+        Projecting bootstraps there discards only impossible values, and
+        it breaks the runaway feedback that bootstrapped regression
+        develops under a weak prior (small alpha), where one reward can
+        amplify through S by up to 1/alpha per step.
         """
         denom = 1.0 - self.config.gamma
         if denom <= 0.0:
-            return None
-        q_span = self._r_abs_max / denom
-        u_span = self.v_max / denom
+            q_span = u_span = np.inf
+        else:
+            q_span = self._r_abs_max / denom
+            u_span = self.v_max / denom
         return (-q_span, q_span), (-u_span, 0.0)
 
     def observe(self, tr: Transition, kappa: float, rng) -> None:
@@ -239,11 +238,9 @@ class EmuQ:
         else:
             a_next = self.act(tr.next_state, kappa, rng)
             boot_q, boot_u = self._row(tr.next_state, a_next) @ self.model.m
-            bounds = self._boot_bounds()
-            if bounds is not None:
-                (q_lo, q_hi), (u_lo, u_hi) = bounds
-                boot_q = float(np.clip(boot_q, q_lo, q_hi))
-                boot_u = float(np.clip(boot_u, u_lo, u_hi))
+            (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
+            boot_q = float(np.clip(boot_q, q_lo, q_hi))
+            boot_u = float(np.clip(boot_u, u_lo, u_hi))
         self.model.observe(phi, [tr.reward + c.gamma * boot_q,
                                  r_e + c.gamma * boot_u])
         if self.model.n_observed % SYMMETRIZE_EVERY == 0:
@@ -286,10 +283,7 @@ class EmuQ:
         def pair_values(m):
             return pair_value_matrix(Cs, Ss, Ca, Sa, m, scale)
 
-        bounds = self._boot_bounds()
-        if bounds is None:
-            bounds = ((-np.inf, np.inf), (-np.inf, np.inf))
-        (q_lo, q_hi), (u_lo, u_hi) = bounds
+        (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
 
         def solve_head(targets, m0, t0, values_other, weight_self,
                        weight_other, boot_lo, boot_hi):
@@ -304,7 +298,7 @@ class EmuQ:
             m = m0.copy()
             t = t0.copy()
             with np.errstate(over="ignore", invalid="ignore"):
-                for it in range(c.sweep_max_iters):
+                for it in range(SWEEP_MAX_ITERS):
                     values = pair_values(m)
                     balanced = (weight_self * values
                                 + weight_other * values_other)
@@ -318,9 +312,9 @@ class EmuQ:
                     if not np.isfinite(delta):
                         return m0.copy(), t0.copy(), it + 1, False
                     m = m_new
-                    if delta < c.sweep_tol:
+                    if delta < SWEEP_TOL:
                         return m, t, it + 1, True
-            return m, t, c.sweep_max_iters, False
+            return m, t, SWEEP_MAX_ITERS, False
 
         m_q0 = self.model.m[:, 0]
         m_u0 = self.model.m[:, 1]
@@ -383,8 +377,8 @@ class EmuQ:
 
     def run_stats(self) -> dict:
         """Invariant monitors and re-solve counts of the run so far."""
-        cap = self.config.sweep_max_iters
-        capped = sum(not h[f"converged_{head}"] and h[f"iters_{head}"] == cap
+        capped = sum(not h[f"converged_{head}"]
+                     and h[f"iters_{head}"] == SWEEP_MAX_ITERS
                      for h in self.sweep_history for head in ("q", "u"))
         return {
             "re_count": self.re_count, "re_min": self.re_min,

@@ -235,19 +235,29 @@ def test_a06_cliff_budget_stop_purity():
     agent = make_agent(config, env, agent_rng)
     schedule = make_schedule(config.schedule_variant,
                              **config.schedule_params)
+    taken = []
+    act = agent.act
+
+    def recording_act(obs, kappa, rng):
+        action = act(obs, kappa, rng)
+        taken.append((obs, action))
+        return action
+
+    agent.act = recording_act
     returns = []
     post_actions = 0
     mismatches = 0
     for ep in range(config.n_episodes):
         kappa = schedule.kappa_at(ep)
         frozen = schedule.frozen_at(ep)
+        taken.clear()
         log = run_episode(env, agent, env_rng, agent_rng, kappa=kappa,
                           learn=not frozen)
         returns.append(log.return_undiscounted)
         if frozen:       # tables are static now, so compare against them
-            for tr in log.transitions:
+            for state, action in taken:
                 post_actions += 1
-                if tr.action != greedy_action(agent.q[tr.state]):
+                if action != greedy_action(agent.q[state]):
                     mismatches += 1
     budget = config.schedule_params["budget"]
     pre_best = max(np.mean(returns[i:i + 5])

@@ -24,8 +24,9 @@ from exval.bench import (CHECKPOINT_VERSION, CSV_HEADER, CheckpointError,
                          run_single, save_checkpoint)
 from exval.cli import main
 from exval.core import run_episode, seed_streams
-from exval.emuq import EmuQ
+from exval.emuq import SWEEP_MAX_ITERS, EmuQ
 from exval.envs import CliffEnv, MountainCarEnv, make_env
+from exval.schedules import make_schedule
 from exval.tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                            ExplorationValuesAgent)
 
@@ -124,10 +125,22 @@ def test_make_agent_rejects_mismatches():
                              "params": {"epsilon": 0.5}})
     with pytest.raises(ConfigError, match="bad explvalues"):
         make_agent(bad, CliffEnv(), rng)
-    bad_emuq = tiny_config(agent={"kind": "emuq",
-                                  "params": {"bogus": 1}})
-    with pytest.raises(ConfigError, match="bad emuq"):
-        make_agent(bad_emuq, MountainCarEnv(), rng)
+    # kappa comes from the schedule; scheme, sweep_tol and sweep_max_iters
+    # are fixed in emuq.py
+    for key in ("bogus", "kappa", "scheme", "sweep_tol", "sweep_max_iters"):
+        bad_emuq = tiny_config(agent={"kind": "emuq", "params": {key: 1}})
+        with pytest.raises(ConfigError, match=f"bad emuq.*{key}"):
+            make_agent(bad_emuq, MountainCarEnv(), rng)
+
+
+def test_every_checked_in_config_builds_env_agent_and_schedule():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert len(paths) == 27
+    for path in paths:
+        config = load_config(path)
+        env = make_env(config.env_name, **config.env_params)
+        make_agent(config, env, np.random.default_rng(0))
+        make_schedule(config.schedule_variant, **config.schedule_params)
 
 
 # -- single runs -------------------------------------------------------
@@ -340,6 +353,34 @@ def test_aggregate_directory_errors(tmp_path):
         aggregate_directory(tmp_path)
 
 
+def test_aggregate_bad_run_csv_exits_2_naming_file(tmp_path, capsys):
+    config = tiny_config()
+    out = tmp_path / "out"
+    run_experiment(config, out_dir=out, save_checkpoints=False)
+    good = (out / "run_s000.csv").read_text()
+    header = good.splitlines()[0] + "\n"
+    first_row = good.splitlines()[1]
+    broken = {
+        "header only beside a good run": header,
+        "short row": header + ",".join(first_row.split(",")[:7]) + "\n",
+        "non-numeric row": header + first_row.replace(",0,", ",zero,", 1)
+        + "\n",
+    }
+    for case, text in broken.items():
+        (out / "run_s001.csv").write_text(text)
+        (out / "summary.csv").unlink(missing_ok=True)
+        assert main(["aggregate", "--in", str(out)]) == 2, case
+        assert "run_s001.csv" in capsys.readouterr().err, case
+        assert not (out / "summary.csv").exists(), case
+
+    # a lone header-only file must not aggregate to a one-run summary
+    (out / "run_s000.csv").unlink()
+    (out / "run_s001.csv").write_text(header)
+    assert main(["aggregate", "--in", str(out)]) == 2
+    assert "run_s001.csv" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 # -- checkpoints -------------------------------------------------------
 
 
@@ -404,6 +445,27 @@ def test_checkpoint_corrupt_and_incompatible(tmp_path):
     with pytest.raises(CheckpointError, match="missing array"):
         load_checkpoint(missing)
 
+    version_only = tmp_path / "version_only.npz"
+    np.savez(version_only, version=np.asarray(CHECKPOINT_VERSION))
+    with pytest.raises(CheckpointError,
+                       match="missing kind, env_name, env_params, "
+                             "agent_params"):
+        load_checkpoint(version_only)
+    assert main(["eval", "--checkpoint", str(version_only),
+                 "--episodes", "1"]) == 2
+
+    with np.load(good) as data:
+        arrays = dict(data)
+    for key, value, message in [("env_params", json.dumps({"bogus": 1}),
+                                 "bad metadata"),
+                                ("kind", "dqn", "unknown agent kind")]:
+        bad = tmp_path / f"bad_{key}.npz"
+        np.savez(bad, **{**arrays, key: np.asarray(value)})
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--episodes", "1"]) == 2
+
 
 def test_checkpoint_version_1_rejected(tmp_path, capsys):
     # version-1 files held no EmuQ transition store, so they cannot resume
@@ -418,7 +480,7 @@ def test_checkpoint_version_1_rejected(tmp_path, capsys):
     np.savez(old, **arrays)
     with pytest.raises(CheckpointError, match="version 1 unsupported"):
         load_checkpoint(old)
-    assert main(["eval", "--checkpoint", str(old), "--env", "cliff",
+    assert main(["eval", "--checkpoint", str(old),
                  "--episodes", "1"]) == 2
     assert "version 1" in capsys.readouterr().err
 
@@ -514,7 +576,7 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
         agent={"kind": "emuq",
                "params": {"n_features": 16, "n_action_candidates": 4,
                           "n_expectation_samples": 4,
-                          "n_sweep_candidates": 4, "sweep_max_iters": 3}},
+                          "n_sweep_candidates": 4}},
         schedule={"variant": "constant", "params": {"kappa0": 0.1}},
         n_episodes=3)
     cfg_path.write_text(json.dumps(emuq))
@@ -525,7 +587,8 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
     capped = 0
     for seed in range(config.n_seeds):
         _, agent = run_single(config, seed, keep_agent=True)
-        capped += sum(not h[f"converged_{k}"] and h[f"iters_{k}"] == 3
+        capped += sum(not h[f"converged_{k}"]
+                      and h[f"iters_{k}"] == SWEEP_MAX_ITERS
                       for h in agent.sweep_history for k in "qu")
     found = re.search(r"(\d+) of (\d+) re-solves hit the iteration cap",
                       printed)
@@ -556,7 +619,7 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
                  str(out)]) == 0
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(out / "checkpoint_s000.npz"),
-                 "--env", "cliff", "--episodes", "3"])
+                 "--episodes", "3"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "mean_return:" in printed
@@ -573,5 +636,5 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["aggregate", "--in", str(tmp_path)]) == 2
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(tmp_path / "none.npz"),
-                 "--env", "cliff", "--episodes", "1"]) == 2
+                 "--episodes", "1"]) == 2
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from exval.core import (EnvSpec, EpisodeLog, StepOutcome, Transition,
+from exval.core import (EnvSpec, StepOutcome, Transition,
                         eval_pure_exploit, run_episode, seed_streams)
 
 
@@ -98,7 +98,7 @@ def test_episode_reaches_goal():
     assert log.steps == 4
     assert log.reached_goal
     assert log.return_undiscounted == pytest.approx(-0.3 + 1.0)
-    last = log.transitions[-1]
+    last = agent.observed[-1]
     assert last.terminal and last.goal and not last.truncated
     assert last.absorbing
     assert agent.episodes_ended == 1
@@ -112,29 +112,21 @@ def test_episode_step_cap_sets_truncated():
     log = run_episode(env, agent, rng, rng, kappa=1.0)
     assert log.steps == 6
     assert not log.reached_goal
-    last = log.transitions[-1]
+    last = agent.observed[-1]
     assert last.terminal and last.truncated and not last.absorbing
     # only the final transition carries the cap flag
-    assert all(not tr.truncated for tr in log.transitions[:-1])
+    assert all(not tr.truncated for tr in agent.observed[:-1])
 
 
 def test_goal_on_final_allowed_step_is_absorbing():
     # Terminal at exactly the cap is a real ending, not a truncation.
-    env = LineEnv(n=5)
+    env = LineEnv(n=5, max_episode_steps=4)
     agent = ScriptAgent([1])
     rng = np.random.default_rng(0)
-    log = run_episode(env, agent, rng, rng, kappa=0.0, max_steps=4)
+    log = run_episode(env, agent, rng, rng, kappa=0.0)
     assert log.reached_goal
-    assert log.transitions[-1].absorbing
-    assert not log.transitions[-1].truncated
-
-
-def test_max_steps_overrides_spec_cap():
-    env = LineEnv(n=50, max_episode_steps=40)
-    agent = ScriptAgent([0])
-    rng = np.random.default_rng(0)
-    log = run_episode(env, agent, rng, rng, kappa=0.0, max_steps=3)
-    assert log.steps == 3
+    assert agent.observed[-1].absorbing
+    assert not agent.observed[-1].truncated
 
 
 def test_learn_false_skips_agent_hooks():
@@ -146,17 +138,6 @@ def test_learn_false_skips_agent_hooks():
     assert agent.episodes_ended == 0
 
 
-def test_collect_transitions_off_keeps_totals():
-    env = LineEnv(n=5)
-    agent = ScriptAgent([1])
-    rng = np.random.default_rng(0)
-    log = run_episode(env, agent, rng, rng, kappa=0.0,
-                      collect_transitions=False)
-    assert log.transitions == []
-    assert log.steps == 4
-    assert log.return_undiscounted == pytest.approx(0.7)
-
-
 def test_eval_pure_exploit_frozen_and_greedy():
     env = LineEnv(n=5)
     agent = ScriptAgent([1])
@@ -165,9 +146,3 @@ def test_eval_pure_exploit_frozen_and_greedy():
     assert agent.observed == []
     assert agent.episodes_ended == 0
     assert set(agent.kappas_seen) == {0.0}
-
-
-def test_episode_logs_do_not_share_lists():
-    a, b = EpisodeLog(), EpisodeLog()
-    a.transitions.append("x")
-    assert b.transitions == []

@@ -143,8 +143,7 @@ def run_until_goal(env, agent, kappa, n_episodes, seed):
     env_rng, agent_rng, _ = seed_streams(0, seed)
     total = 0
     for _ in range(n_episodes):
-        log = run_episode(env, agent, env_rng, agent_rng, kappa=kappa,
-                          max_steps=100)
+        log = run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
         total += log.steps
         if log.reached_goal:
             return total
@@ -157,7 +156,7 @@ def test_exploration_values_beat_random_walk_on_chain():
     expl_steps = []
     eps_steps = []
     for seed in range(5):
-        env = ChainEnv(20)
+        env = ChainEnv(20, max_episode_steps=100)
         expl = run_until_goal(env, ExplorationValuesAgent(20, 2),
                               kappa=1.0, n_episodes=20, seed=seed)
         eps = run_until_goal(env, EpsilonGreedyAgent(20, 2, epsilon=0.1),
