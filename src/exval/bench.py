@@ -82,8 +82,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment {env['name']!r}")
         if agent["kind"] not in AGENT_KINDS:
             raise ConfigError(f"unknown agent kind {agent['kind']!r}")
-        n_episodes = int(raw["n_episodes"])
-        n_seeds = int(raw["n_seeds"])
+        try:
+            n_episodes = int(raw["n_episodes"])
+            n_seeds = int(raw["n_seeds"])
+            base_seed = int(raw.get("base_seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad run counts: {exc}") from None
         if n_episodes < 1 or n_seeds < 1:
             raise ConfigError("n_episodes and n_seeds must be >= 1")
         return ExperimentConfig(
@@ -96,7 +100,7 @@ class ExperimentConfig:
             schedule_params=dict(schedule.get("params", {})),
             n_episodes=n_episodes,
             n_seeds=n_seeds,
-            base_seed=int(raw.get("base_seed", 0)),
+            base_seed=base_seed,
             out=raw.get("out"),
         )
 
@@ -128,14 +132,18 @@ def load_config(path) -> ExperimentConfig:
 def make_agent(config: ExperimentConfig, env, rng):
     kind = config.agent_kind
     params = dict(config.agent_params)
+    vector_obs = getattr(env, "vector_obs", False)
     if kind == "emuq":
+        if env.spec.n_states is not None and not vector_obs:
+            raise ConfigError("agent 'emuq' needs vector observations; "
+                              f"{config.env_name!r} gives state indices")
         try:
             return EmuQ(env.spec, EmuqConfig(**params), rng)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad emuq agent params: {exc}") from None
     if env.spec.n_states is None:
         raise ConfigError(f"agent {kind!r} needs a discrete-state env")
-    if getattr(env, "vector_obs", False):
+    if vector_obs:
         raise ConfigError(f"agent {kind!r} needs index observations; "
                           "drop vector_obs from the env params")
     classes = {"epsilon_greedy": EpsilonGreedyAgent,
@@ -143,7 +151,7 @@ def make_agent(config: ExperimentConfig, env, rng):
                "explvalues": ExplorationValuesAgent}
     try:
         return classes[kind](env.spec.n_states, env.spec.n_actions, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} agent params: {exc}") from None
 
 
@@ -164,7 +172,7 @@ def run_single(config: ExperimentConfig, seed: int,
     env_rng, agent_rng, eval_rng = seed_streams(config.base_seed, seed)
     try:
         env = make_env(config.env_name, **config.env_params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad env params: {exc}") from None
     agent = make_agent(config, env, agent_rng)
     try:
@@ -289,14 +297,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None, n_seeds=None,
 def read_run_csv(path):
     """Parse one per-run CSV back into (seed, rows).
 
-    A file without rows, or with a row that is short or not numeric,
-    raises ConfigError naming the file and line.
+    A file with a wrong or missing header, without rows, or with a row
+    that is short or not numeric raises ConfigError naming the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}")
+            raise ConfigError(f"unexpected CSV header in {path}")
         rows = []
         for line, row in enumerate(reader, start=2):
             if len(row) != len(CSV_HEADER):

@@ -1,11 +1,14 @@
 """Environment protocol, episode runner, and RNG discipline.
 
 Environments here are pure transition samplers: ``step`` maps (raw state,
-action, rng) to a StepOutcome and keeps no episode bookkeeping.  The
-runner owns the step counter, applies the step cap, and assembles
-EpisodeLogs.  Raw states stay in physical units inside the environment;
-``observe`` converts them to what agents see (min-max normalized vectors
-for continuous domains, plain integer indices for tabular ones).
+action, rng) to a StepOutcome and keeps no episode bookkeeping.  Every
+domain is goal-only: the goal is its only absorbing state, so one
+``goal`` flag both ends the episode and zeroes the bootstrap.  The
+runner owns the step cap, which ends an episode without absorbing, and
+assembles EpisodeLogs.  Raw states stay in physical units inside the
+environment; ``observe`` converts them to what agents see (min-max
+normalized vectors for continuous domains, plain integer indices for
+tabular ones).
 
 Each run derives three independent random streams (environment, agent,
 evaluation) from a (base_seed, run_seed) pair, so agent stochasticity
@@ -42,31 +45,23 @@ class StepOutcome:
 
     next_state: object
     reward: float
-    terminal: bool       # absorbing state reached (goal or penalty)
-    goal: bool           # terminal specifically because of the goal
+    goal: bool           # the goal was reached; it absorbs
 
 
 @dataclass(frozen=True)
 class Transition:
     """One agent-visible step.
 
-    ``terminal`` marks end of episode for any reason; ``truncated`` marks
-    the step-cap case, where the episode ends but the underlying state is
-    not absorbing, so value bootstrapping must not be zeroed.  Only
-    ``absorbing`` transitions zero the bootstrap.
+    ``absorbing`` is the step's goal flag: only a goal step zeroes the
+    value bootstrap.  A step-cap ending is not absorbing, because the
+    underlying state could still be continued from.
     """
 
     state: object
     action: object
     reward: float
     next_state: object
-    terminal: bool
-    truncated: bool = False
-    goal: bool = False
-
-    @property
-    def absorbing(self) -> bool:
-        return self.terminal and not self.truncated
+    absorbing: bool
 
 
 @dataclass
@@ -90,34 +85,29 @@ def seed_streams(base_seed: int, run_seed: int):
 
 def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
                 learn: bool = True) -> EpisodeLog:
-    """Run one episode to termination or the env's step cap.
+    """Run one episode until the goal or the env's step cap.
 
     In learning mode the agent sees every transition through ``observe``
     and gets an ``end_episode`` hook; otherwise the agent is only asked
-    to act and its internal state must come out bitwise untouched.
+    to act, no Transition is built, and its internal state must come out
+    bitwise untouched.
     """
-    cap = env.spec.max_episode_steps
     log = EpisodeLog()
     raw = env.reset(env_rng)
     obs = env.observe(raw)
-    for step_index in range(cap):
+    for _ in range(env.spec.max_episode_steps):
         action = agent.act(obs, kappa, agent_rng)
         outcome = env.step(raw, action, env_rng)
-        obs_next = env.observe(outcome.next_state)
-        truncated = (not outcome.terminal) and step_index == cap - 1
-        tr = Transition(state=obs, action=action, reward=outcome.reward,
-                        next_state=obs_next,
-                        terminal=outcome.terminal or truncated,
-                        truncated=truncated, goal=outcome.goal)
+        raw = outcome.next_state
+        obs_next = env.observe(raw)
         if learn:
-            agent.observe(tr, kappa, agent_rng)
-        log.return_undiscounted += tr.reward
+            agent.observe(Transition(obs, action, outcome.reward, obs_next,
+                                     outcome.goal), kappa, agent_rng)
+        log.return_undiscounted += outcome.reward
         log.steps += 1
         if outcome.goal:
             log.reached_goal = True
-        if tr.terminal:
             break
-        raw = outcome.next_state
         obs = obs_next
     if learn:
         agent.end_episode(kappa, agent_rng)

@@ -153,11 +153,6 @@ class EmuQ:
         """Feature row of one (state, action) pair."""
         return self._pair_features(obs, [action])[0]
 
-    def predict(self, obs, action) -> tuple[float, float]:
-        """(Q, U) posterior means for one state-action pair."""
-        q, u = self.model.predict_mean(self._row(obs, action))
-        return float(q), float(u)
-
     # -- acting ----------------------------------------------------------
 
     def act(self, obs, kappa: float, rng):

@@ -1,4 +1,10 @@
-"""Benchmark environments and the name-based construction registry."""
+"""Benchmark environments and the name-based construction registry.
+
+All five domains are goal-only: ``step`` returns
+``StepOutcome(next_state, reward, goal)``, and the goal is the only
+absorbing state.  Penalties (a cliff fall, a wrong taxi pickup or
+drop-off, a semi-sparse chain step) never end an episode.
+"""
 
 from __future__ import annotations
 

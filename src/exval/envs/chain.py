@@ -63,12 +63,12 @@ class ChainEnv:
         else:
             nxt = max(state - 1, 0)
         if nxt == self.n - 1:
-            return StepOutcome(nxt, 1.0, terminal=True, goal=True)
+            return StepOutcome(nxt, 1.0, goal=True)
         reward = 0.0
         if self.semi_sparse_p is not None:
             if rng.random() < 1.0 - self.semi_sparse_p:
                 reward = -1.0
-        return StepOutcome(nxt, reward, terminal=False, goal=False)
+        return StepOutcome(nxt, reward, goal=False)
 
 
 def expected_steps_to_goal_always_right(n: int) -> float:

@@ -58,8 +58,8 @@ class MountainCarEnv:
         x = np.clip(x + v, self.X_MIN, self.X_MAX)
         nxt = np.array([x, v])
         if x > self.GOAL_X:
-            return StepOutcome(nxt, 1.0, terminal=True, goal=True)
-        return StepOutcome(nxt, 0.0, terminal=False, goal=False)
+            return StepOutcome(nxt, 1.0, goal=True)
+        return StepOutcome(nxt, 0.0, goal=False)
 
 
 class PendulumEnv:
@@ -115,5 +115,5 @@ class PendulumEnv:
         theta = (theta + np.pi) % (2 * np.pi) - np.pi    # wrap to (-pi, pi]
         nxt = np.array([theta, theta_dot])
         if abs(theta) < self.GOAL_ANGLE:
-            return StepOutcome(nxt, 1.0, terminal=True, goal=True)
-        return StepOutcome(nxt, 0.0, terminal=False, goal=False)
+            return StepOutcome(nxt, 1.0, goal=True)
+        return StepOutcome(nxt, 0.0, goal=False)

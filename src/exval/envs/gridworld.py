@@ -62,11 +62,8 @@ class CliffEnv:
             nr, nc = row, col    # blocked by the boundary
         if (nr, nc) in self.cliff:
             return StepOutcome(self._index(self.start),
-                               -1.0 * self.reward_scale,
-                               terminal=False, goal=False)
+                               -1.0 * self.reward_scale, goal=False)
         if (nr, nc) == self.goal:
             return StepOutcome(self._index((nr, nc)),
-                               1.0 * self.reward_scale,
-                               terminal=True, goal=True)
-        return StepOutcome(self._index((nr, nc)), 0.0,
-                           terminal=False, goal=False)
+                               1.0 * self.reward_scale, goal=True)
+        return StepOutcome(self._index((nr, nc)), 0.0, goal=False)

@@ -3,9 +3,9 @@
 Four special cells (R, G, Y, B).  Each episode the taxi starts in a
 random cell, a passenger waits at one special cell, and a different
 special cell is the destination.  Dropping the passenger at the
-destination pays +1 and ends the episode; pickup or dropoff anywhere
-wrong pays -0.1; moves pay 0.  Moves through the grid's interior walls
-are blocked.
+destination pays +1 and is the goal, the only absorbing state; pickup
+or dropoff anywhere wrong pays -0.1; moves pay 0.  Moves through the
+grid's interior walls are blocked.
 
 The 500 states encode (taxi row, taxi column, passenger location,
 destination), with passenger location 4 meaning "in the taxi".  All
@@ -116,7 +116,6 @@ class TaxiEnv:
         if not 0 <= a < 6:
             raise ValueError(f"invalid taxi action {a}")
         s = int(state)
-        term = bool(self.terminal[s, a])
         return StepOutcome(int(self.next_state[s, a]),
                            float(self.reward[s, a]),
-                           terminal=term, goal=term)
+                           goal=bool(self.terminal[s, a]))

@@ -131,6 +131,11 @@ def test_make_agent_rejects_mismatches():
         bad_emuq = tiny_config(agent={"kind": "emuq", "params": {key: 1}})
         with pytest.raises(ConfigError, match=f"bad emuq.*{key}"):
             make_agent(bad_emuq, MountainCarEnv(), rng)
+    # emuq needs vector observations, as tabular agents need indices
+    emuq = tiny_config(agent={"kind": "emuq", "params": {}})
+    for env in (make_env("taxi"), CliffEnv(), make_env("chain", n_states=5)):
+        with pytest.raises(ConfigError, match="emuq.*vector observations"):
+            make_agent(emuq, env, rng)
 
 
 def test_every_checked_in_config_builds_env_agent_and_schedule():
@@ -228,7 +233,7 @@ def test_csv_roundtrip(tmp_path):
 def test_read_run_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="unexpected CSV header"):
+    with pytest.raises(ConfigError, match="unexpected CSV header"):
         read_run_csv(path)
 
 
@@ -361,6 +366,8 @@ def test_aggregate_bad_run_csv_exits_2_naming_file(tmp_path, capsys):
     header = good.splitlines()[0] + "\n"
     first_row = good.splitlines()[1]
     broken = {
+        "empty file": "",
+        "wrong header": "a,b\n" + first_row + "\n",
         "header only beside a good run": header,
         "short row": header + ",".join(first_row.split(",")[:7]) + "\n",
         "non-numeric row": header + first_row.replace(",0,", ",zero,", 1)
@@ -412,11 +419,13 @@ def test_checkpoint_roundtrip_emuq(tmp_path):
     save_checkpoint(agent, path, config)
     loaded, env = load_checkpoint(path)
     assert isinstance(loaded, EmuQ)
+    npt.assert_array_equal(loaded.model.m, agent.model.m)
+    npt.assert_array_equal(loaded.model.t, agent.model.t)
     probe = np.random.default_rng(5)
-    for _ in range(100):
-        obs = probe.uniform(0, 1, size=2)
-        action = probe.uniform(-1, 1, size=1)
-        assert loaded.predict(obs, action) == agent.predict(obs, action)
+    states = probe.uniform(0, 1, size=(100, 2))
+    actions = probe.uniform(-1, 1, size=(100, 1))
+    npt.assert_array_equal(loaded.fmap.embed_pairs(states, actions),
+                           agent.fmap.embed_pairs(states, actions))
 
 
 def test_checkpoint_corrupt_and_incompatible(tmp_path):
@@ -624,6 +633,43 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mean_return:" in printed
     assert "episodes: 3" in printed
+
+
+def test_cli_bad_values_exit_2(tmp_path, capsys):
+    emuq_car = {"name": "mountaincar", "params": {"max_episode_steps": 5}}
+    cases = {
+        "n_episodes": ({"n_episodes": "ten"}, "bad run counts"),
+        "chain n_states": (
+            {"env": {"name": "chain", "params": {"n_states": 1}}},
+            "bad env params: chain needs at least 2 states"),
+        "cliff slip_prob": (
+            {"env": {"name": "cliff", "params": {"slip_prob": 2.0}}},
+            "bad env params: slip_prob"),
+        "emuq alpha": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq", "params": {"alpha": 0}}},
+            "bad emuq agent params: alpha"),
+        "emuq odd n_features": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq", "params": {"n_features": 33}}},
+            "bad emuq agent params: n_features must be even"),
+        "emuq on taxi": (
+            {"env": {"name": "taxi", "params": {}},
+             "agent": {"kind": "emuq", "params": {}}},
+            "needs vector observations"),
+        "emuq on an index chain": (
+            {"env": {"name": "chain", "params": {"n_states": 5}},
+             "agent": {"kind": "emuq", "params": {}}},
+            "needs vector observations"),
+    }
+    for case, (over, message) in cases.items():
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(tiny_dict(**over)))
+        code = main(["run", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out"), "--no-checkpoints"])
+        err = capsys.readouterr().err
+        assert code == 2, (case, err)
+        assert err.startswith("error: ") and message in err, (case, err)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

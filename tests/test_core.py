@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from exval import core
 from exval.core import (EnvSpec, StepOutcome, Transition,
                         eval_pure_exploit, run_episode, seed_streams)
 
@@ -30,7 +31,7 @@ class LineEnv:
         nxt = min(raw + 1, self.n - 1) if action == 1 else max(raw - 1, 0)
         goal = nxt == self.n - 1
         return StepOutcome(next_state=nxt, reward=1.0 if goal else -0.1,
-                           terminal=goal, goal=goal)
+                           goal=goal)
 
 
 class ScriptAgent:
@@ -65,15 +66,6 @@ def test_env_spec_action_validation():
     assert not box.discrete_actions
 
 
-def test_absorbing_distinguishes_cap_from_terminal():
-    done = Transition(0, 0, 0.0, 1, terminal=True)
-    capped = Transition(0, 0, 0.0, 1, terminal=True, truncated=True)
-    running = Transition(0, 0, 0.0, 1, terminal=False)
-    assert done.absorbing
-    assert not capped.absorbing
-    assert not running.absorbing
-
-
 def test_seed_streams_reproducible_and_distinct():
     e1, a1, v1 = seed_streams(0, 5)
     e2, a2, v2 = seed_streams(0, 5)
@@ -98,35 +90,57 @@ def test_episode_reaches_goal():
     assert log.steps == 4
     assert log.reached_goal
     assert log.return_undiscounted == pytest.approx(-0.3 + 1.0)
-    last = agent.observed[-1]
-    assert last.terminal and last.goal and not last.truncated
-    assert last.absorbing
+    # the goal step alone absorbs
+    assert [tr.absorbing for tr in agent.observed] == [False] * 3 + [True]
+    assert (agent.observed[-1].next_state, agent.observed[-1].reward) == \
+        (4, 1.0)
     assert agent.episodes_ended == 1
     assert len(agent.observed) == 4
 
 
-def test_episode_step_cap_sets_truncated():
+def test_episode_step_cap_is_not_absorbing():
     env = LineEnv(n=5, max_episode_steps=6)
     agent = ScriptAgent([0])   # walks into the left wall forever
     rng = np.random.default_rng(0)
     log = run_episode(env, agent, rng, rng, kappa=1.0)
     assert log.steps == 6
     assert not log.reached_goal
-    last = agent.observed[-1]
-    assert last.terminal and last.truncated and not last.absorbing
-    # only the final transition carries the cap flag
-    assert all(not tr.truncated for tr in agent.observed[:-1])
+    # the cap ends the episode, but no state absorbed, so the bootstrap
+    # survives on every step, the last included
+    assert len(agent.observed) == 6
+    assert not any(tr.absorbing for tr in agent.observed)
+    assert agent.episodes_ended == 1
 
 
 def test_goal_on_final_allowed_step_is_absorbing():
-    # Terminal at exactly the cap is a real ending, not a truncation.
+    # The goal at exactly the cap is a real ending, not a cap ending.
     env = LineEnv(n=5, max_episode_steps=4)
     agent = ScriptAgent([1])
     rng = np.random.default_rng(0)
     log = run_episode(env, agent, rng, rng, kappa=0.0)
-    assert log.reached_goal
+    assert log.reached_goal and log.steps == 4
     assert agent.observed[-1].absorbing
-    assert not agent.observed[-1].truncated
+    assert not any(tr.absorbing for tr in agent.observed[:-1])
+
+
+def test_no_transition_built_without_learning(monkeypatch):
+    built = []
+
+    def counting_transition(*args, **kwargs):
+        built.append(args)
+        return Transition(*args, **kwargs)
+
+    monkeypatch.setattr(core, "Transition", counting_transition)
+    env = LineEnv(n=5)
+    rng = np.random.default_rng(0)
+    log = run_episode(env, ScriptAgent([1]), rng, rng, kappa=0.0,
+                      learn=False)
+    returns = eval_pure_exploit(env, ScriptAgent([1]), 3, rng)
+    assert log.steps == 4 and len(returns) == 3
+    assert built == []
+    # the patch is live: a learning episode builds one per step
+    run_episode(env, ScriptAgent([1]), rng, rng, kappa=0.0)
+    assert len(built) == 4
 
 
 def test_learn_false_skips_agent_hooks():

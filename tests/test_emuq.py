@@ -84,7 +84,7 @@ def test_fresh_agent_exploration_reward_is_exact_zero():
     agent = EmuQ(discrete_spec(), cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     assert agent.exploration_reward(np.array([0.3]), rng) == 0.0
-    assert agent.predict(np.array([0.3]), 1) == (0.0, 0.0)
+    assert not agent.model.m.any()    # every (Q, U) mean is exactly 0
     assert agent.re_count == 1 and agent.re_min == 0.0
 
 
@@ -157,7 +157,7 @@ def make_clip_agent(gamma):
 def test_observe_projects_bootstrap_to_attainable_range():
     agent = make_clip_agent(gamma=0.5)
     tr = Transition(state=np.array([0.0]), action=0, reward=0.0,
-                    next_state=np.array([0.0]), terminal=False)
+                    next_state=np.array([0.0]), absorbing=False)
     agent.observe(tr, 1.0, np.random.default_rng(5))
     # Q bootstrap 50 clipped to q_hi = 2, U bootstrap 50 clipped to 0:
     # targets become [0 + 0.5 * 2, 0 + 0.5 * 0]
@@ -168,7 +168,7 @@ def test_observe_projects_bootstrap_to_attainable_range():
 def test_observe_no_projection_without_discounting():
     agent = make_clip_agent(gamma=1.0)
     tr = Transition(state=np.array([0.0]), action=0, reward=0.0,
-                    next_state=np.array([0.0]), terminal=False)
+                    next_state=np.array([0.0]), absorbing=False)
     agent.observe(tr, 1.0, np.random.default_rng(5))
     # no finite attainable range at gamma = 1, so the raw value stands
     assert agent.model.t[0, 0] == 50.0
@@ -177,7 +177,7 @@ def test_observe_no_projection_without_discounting():
 def test_observe_absorbing_zeroes_bootstrap_and_tracks_reward_scale():
     agent = make_clip_agent(gamma=0.5)
     tr = Transition(state=np.array([0.0]), action=1, reward=-3.0,
-                    next_state=np.array([0.0]), terminal=True)
+                    next_state=np.array([0.0]), absorbing=True)
     agent.observe(tr, 1.0, np.random.default_rng(6))
     assert agent._r_abs_max == 3.0
     # absorbing: target is the raw reward, no bootstrap at all
@@ -299,8 +299,8 @@ def test_discrete_agent_on_chain():
     log = run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
     assert len(actions) >= log.steps > 0
     assert all(a in (0, 1) for a in actions)
-    q, u = agent.predict(np.array([0.5]), 1)
-    assert isinstance(q, float) and isinstance(u, float)
+    assert agent.model.m.shape == (64, 2)
+    assert np.isfinite(agent.model.m).all()
 
 
 def test_state_arrays_roundtrip_bitwise():
@@ -315,8 +315,10 @@ def test_state_arrays_roundtrip_bitwise():
     npt.assert_array_equal(fresh.fmap.rff.frequencies,
                            agent.fmap.rff.frequencies)
     npt.assert_array_equal(fresh.model.S, agent.model.S)
+    npt.assert_array_equal(fresh.model.m, agent.model.m)
+    npt.assert_array_equal(fresh.model.t, agent.model.t)
     probe = np.random.default_rng(12)
-    for _ in range(50):
-        obs = probe.uniform(0, 1, size=2)
-        action = probe.uniform(-1, 1, size=1)
-        assert fresh.predict(obs, action) == agent.predict(obs, action)
+    states = probe.uniform(0, 1, size=(50, 2))
+    actions = probe.uniform(-1, 1, size=(50, 1))
+    npt.assert_array_equal(fresh.fmap.embed_pairs(states, actions),
+                           agent.fmap.embed_pairs(states, actions))

@@ -52,7 +52,7 @@ def test_chain_left_is_deterministic():
     before = rng.bit_generator.state
     out = env.step(3, 0, rng)
     assert out.next_state == 2
-    assert out.reward == 0.0 and not out.terminal
+    assert out.reward == 0.0 and not out.goal
     # left moves must not consume randomness
     assert rng.bit_generator.state == before
     assert env.step(0, 0, rng).next_state == 0
@@ -79,9 +79,9 @@ def test_chain_goal_absorbs_with_unit_reward():
     for _ in range(100):
         out = env.step(1, 1, rng)
         if out.next_state == 2:
-            assert out.reward == 1.0 and out.terminal and out.goal
+            assert out.reward == 1.0 and out.goal
         else:
-            assert out.reward == 0.0 and not out.terminal
+            assert out.reward == 0.0 and not out.goal
     with pytest.raises(ValueError):
         env.step(2, 1, rng)     # goal state is absorbing, no stepping out
 
@@ -110,7 +110,7 @@ def test_chain_absorption_time_oracle():
         while True:
             out = env.step(s, 1, rng)
             t += 1
-            if out.terminal:
+            if out.goal:
                 break
             s = out.next_state
         steps.append(t)
@@ -148,7 +148,7 @@ def test_cliff_fall_resets_without_terminating():
     out = env.step(36, RIGHT, rng)     # steps onto the first cliff cell
     assert out.next_state == 36
     assert out.reward == -1.0
-    assert not out.terminal and not out.goal
+    assert not out.goal
 
 
 def test_cliff_goal_pays_one():
@@ -156,7 +156,7 @@ def test_cliff_goal_pays_one():
     rng = np.random.default_rng(0)
     out = env.step(35, DOWN, rng)      # from directly above the goal
     assert out.next_state == 47
-    assert out.reward == 1.0 and out.terminal and out.goal
+    assert out.reward == 1.0 and out.goal
 
 
 def test_cliff_reward_scale():
@@ -223,9 +223,9 @@ def test_taxi_scripted_delivery():
         out = env.step(s, a, rng)
         total += out.reward
         if i < len(script) - 1:
-            assert not out.terminal
+            assert not out.goal
             s = out.next_state
-    assert out.terminal and out.goal
+    assert out.goal
     assert out.reward == 1.0
     assert total == 1.0                      # no penalties on the way
     assert decode(out.next_state)[:2] == (0, 4)
@@ -276,10 +276,10 @@ def test_taxi_pickup_semantics():
 def test_taxi_dropoff_semantics():
     env = TaxiEnv()
     rng = np.random.default_rng(0)
-    # wrong special cell: passenger gets out there, penalty, no terminal
+    # wrong special cell: passenger gets out there, penalty, not the goal
     r, c = SPECIAL_CELLS[2]
     out = env.step(encode(r, c, IN_TAXI, 1), DROPOFF, rng)
-    assert out.reward == -0.1 and not out.terminal
+    assert out.reward == -0.1 and not out.goal
     assert decode(out.next_state)[2] == 2
     # non-special cell: penalty, passenger stays aboard
     out = env.step(encode(2, 2, IN_TAXI, 1), DROPOFF, rng)
@@ -311,7 +311,7 @@ def test_mountaincar_euler_step():
     out = env.step(np.array([-0.5, 0.01]), 1.0, rng)
     x2, v2 = hand_mc_step(-0.5, 0.01, 1.0)
     npt.assert_allclose(out.next_state, [x2, v2], atol=1e-15)
-    assert out.reward == 0.0 and not out.terminal
+    assert out.reward == 0.0 and not out.goal
 
 
 def test_mountaincar_clipping():
@@ -330,7 +330,7 @@ def test_mountaincar_goal_and_validation():
     rng = np.random.default_rng(0)
     out = env.step(np.array([0.89, 0.07]), 1.0, rng)
     assert out.next_state[0] > 0.9
-    assert out.reward == 1.0 and out.terminal and out.goal
+    assert out.reward == 1.0 and out.goal
     with pytest.raises(ValueError):
         env.step(np.array([0.0, 0.0]), 1.5, rng)
 
@@ -362,7 +362,7 @@ def test_mountaincar_underactuated_but_solvable():
             out = env.step(state, policy(state), rng)
             state = out.next_state
             best_x = max(best_x, state[0])
-            if out.terminal:
+            if out.goal:
                 return t, best_x
         return None, best_x
 
@@ -388,7 +388,7 @@ def test_pendulum_euler_step():
     out = env.step(np.array([0.3, 0.5]), 1.0, rng)
     th2, td2 = hand_pend_step(0.3, 0.5, 1.0)
     npt.assert_allclose(out.next_state, [th2, td2], atol=1e-15)
-    assert out.reward == 0.0 and not out.terminal
+    assert out.reward == 0.0 and not out.goal
 
 
 def test_pendulum_angle_wraps():
@@ -412,7 +412,7 @@ def test_pendulum_goal_and_validation():
     th2, td2 = hand_pend_step(0.2, -4.0, 0.0)
     assert abs(th2) < 0.05            # the hand step lands inside the goal
     out = env.step(np.array([0.2, -4.0]), 0.0, rng)
-    assert out.reward == 1.0 and out.terminal and out.goal
+    assert out.reward == 1.0 and out.goal
     with pytest.raises(ValueError):
         env.step(np.array([0.0, 0.0]), 2.5, rng)
 
@@ -450,7 +450,7 @@ def test_goal_only_reward_support():
         for _ in range(400):
             out = env.step(state, pick(), rng)
             assert out.reward in allowed
-            if out.terminal:
+            if out.goal:
                 state = env.reset(rng)
             else:
                 state = out.next_state

@@ -14,7 +14,7 @@ from exval.tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
 
 def make_tr(s, a, r, s_next, absorbing=False):
     return Transition(state=s, action=a, reward=r, next_state=s_next,
-                      terminal=absorbing, truncated=False)
+                      absorbing=absorbing)
 
 
 def test_count_bonus_first_visit_free():
