@@ -60,6 +60,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("a config must be a JSON object")
         known = {"experiment", "env", "agent", "schedule", "n_episodes",
                  "n_seeds", "base_seed", "out"}
         unknown = set(raw) - known
@@ -82,22 +84,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment {env['name']!r}")
         if agent["kind"] not in AGENT_KINDS:
             raise ConfigError(f"unknown agent kind {agent['kind']!r}")
-        try:
-            n_episodes = int(raw["n_episodes"])
-            n_seeds = int(raw["n_seeds"])
-            base_seed = int(raw.get("base_seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad run counts: {exc}") from None
+        n_episodes = _count(raw, "n_episodes")
+        n_seeds = _count(raw, "n_seeds")
+        base_seed = _count(raw, "base_seed", 0)
         if n_episodes < 1 or n_seeds < 1:
             raise ConfigError("n_episodes and n_seeds must be >= 1")
         return ExperimentConfig(
             experiment=str(raw["experiment"]),
             env_name=env["name"],
-            env_params=dict(env.get("params", {})),
+            env_params=_params(env, "env"),
             agent_kind=agent["kind"],
-            agent_params=dict(agent.get("params", {})),
+            agent_params=_params(agent, "agent"),
             schedule_variant=schedule["variant"],
-            schedule_params=dict(schedule.get("params", {})),
+            schedule_params=_params(schedule, "schedule"),
             n_episodes=n_episodes,
             n_seeds=n_seeds,
             base_seed=base_seed,
@@ -116,6 +115,27 @@ class ExperimentConfig:
             "base_seed": self.base_seed,
             **({"out": self.out} if self.out else {}),
         }
+
+
+def _count(raw: dict, key: str, default=None) -> int:
+    """raw[key] as an int; a bool, a string or a fractional number is a
+    ConfigError, never truncated."""
+    value = raw.get(key, default)
+    whole = (isinstance(value, int) or
+             isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"bad run counts: {key} must be a whole number, "
+                          f"got {value!r}")
+    return int(value)
+
+
+def _params(section: dict, name: str) -> dict:
+    """A copy of section["params"] (empty if absent), which must be a
+    JSON object."""
+    params = section.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{name} params must be an object, got {params!r}")
+    return dict(params)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -410,7 +430,14 @@ def aggregate_directory(in_dir) -> dict:
     config_path = in_dir / "config.json"
     if not config_path.exists():
         raise ConfigError(f"no config.json in {in_dir}")
-    config = ExperimentConfig.from_dict(json.loads(config_path.read_text()))
+    try:
+        raw = json.loads(config_path.read_text())
+    except ValueError as exc:       # bad JSON or bad UTF-8
+        raise ConfigError(f"{config_path} is not valid JSON: {exc}") from None
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from None
     run_files = sorted(in_dir.glob("run_s*.csv"))
     if not run_files:
         raise ConfigError(f"no run CSVs in {in_dir}")

@@ -8,7 +8,11 @@ runner owns the step cap, which ends an episode without absorbing, and
 assembles EpisodeLogs.  Raw states stay in physical units inside the
 environment; ``observe`` converts them to what agents see (min-max
 normalized vectors for continuous domains, plain integer indices for
-tabular ones).
+tabular ones).  A tabular environment whose steps draw nothing and
+whose ``observe`` is the identity also hands out its lookup tables
+through ``transition_tables`` (the others return None), so that greedy
+evaluation can walk them, indexing the policy by raw state, instead of
+stepping.
 
 Each run derives three independent random streams (environment, agent,
 evaluation) from a (base_seed, run_seed) pair, so agent stochasticity
@@ -115,15 +119,42 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
 
 
 def eval_pure_exploit(env, agent, n_episodes: int, eval_rng) -> np.ndarray:
-    """Score the current policy with exploration off and models frozen.
+    """Score the current policy at kappa = 0 with models frozen.
 
-    Runs n_episodes greedy-in-Q episodes (kappa forced to 0, no learning)
-    and returns their undiscounted returns.  Draws only from the eval
+    Runs n_episodes episodes with kappa forced to 0 and no learning and
+    returns their undiscounted returns.  Draws only from the eval
     stream, so interleaving these does not disturb training streams.
+
+    When the env's ``transition_tables()`` and the agent's
+    ``greedy_policy()`` both give tables (greedy tabular agents on
+    taxi), each episode walks per-state lists built once per call:
+    ``env.reset`` draws the start and rewards are summed in step order,
+    so returns and eval-stream draws match the step path bit for bit.
+    Otherwise every step goes through ``run_episode``, because the env's
+    ``step`` draws (cliff slip, chain), its states are continuous, or
+    the agent's ``act`` draws.  EpsilonGreedyAgent keeps drawing its
+    epsilon here, so its evaluation is not purely greedy; it takes the
+    step path, as does EmuQ.
     """
+    tables = env.transition_tables()
+    policy = None if tables is None else agent.greedy_policy()
     returns = np.empty(n_episodes)
+    if policy is None:
+        for i in range(n_episodes):
+            log = run_episode(env, agent, eval_rng, eval_rng, kappa=0.0,
+                              learn=False)
+            returns[i] = log.return_undiscounted
+        return returns
+    states = np.arange(len(policy))
+    next_state, reward, goal = (table[states, policy].tolist()
+                                for table in tables)
     for i in range(n_episodes):
-        log = run_episode(env, agent, eval_rng, eval_rng, kappa=0.0,
-                          learn=False)
-        returns[i] = log.return_undiscounted
+        s = env.reset(eval_rng)
+        total = 0.0
+        for _ in range(env.spec.max_episode_steps):
+            total += reward[s]
+            if goal[s]:
+                break
+            s = next_state[s]
+        returns[i] = total
     return returns

@@ -52,6 +52,10 @@ class ChainEnv:
             return np.array([state / (self.n - 1)])
         return state
 
+    def transition_tables(self):
+        """None: a right move draws whether it slips back."""
+        return None
+
     def step(self, state: int, action, rng) -> StepOutcome:
         if not 0 <= state < self.n - 1:
             raise ValueError(f"cannot step from state {state}")

@@ -48,6 +48,10 @@ class MountainCarEnv:
         return np.array([(x - self.X_MIN) / (self.X_MAX - self.X_MIN),
                          (v + self.V_MAX) / (2 * self.V_MAX)])
 
+    def transition_tables(self):
+        """None: continuous states have no lookup table."""
+        return None
+
     def step(self, state: np.ndarray, action, rng) -> StepOutcome:
         a = float(np.asarray(action).reshape(-1)[0])
         if not -1.0 - 1e-9 <= a <= 1.0 + 1e-9:
@@ -101,6 +105,10 @@ class PendulumEnv:
         return np.array([(np.cos(theta) + 1) / 2,
                          (np.sin(theta) + 1) / 2,
                          (theta_dot + self.MAX_SPEED) / (2 * self.MAX_SPEED)])
+
+    def transition_tables(self):
+        """None: continuous states have no lookup table."""
+        return None
 
     def step(self, state: np.ndarray, action, rng) -> StepOutcome:
         a = float(np.asarray(action).reshape(-1)[0])

@@ -49,6 +49,10 @@ class CliffEnv:
     def observe(self, state: int):
         return state
 
+    def transition_tables(self):
+        """None: every step draws whether the move slips."""
+        return None
+
     def step(self, state: int, action, rng) -> StepOutcome:
         a = int(action)
         if a not in _MOVES:

@@ -111,6 +111,16 @@ class TaxiEnv:
     def observe(self, state: int):
         return state
 
+    def transition_tables(self):
+        """(next_state, reward, goal) arrays indexed [state, action].
+
+        Steps draw nothing, so these tables are the whole dynamics, and
+        ``observe`` is the identity, so a policy indexed by observation
+        is indexed by raw state too.  An env may return tables only when
+        both hold.
+        """
+        return self.next_state, self.reward, self.terminal
+
     def step(self, state: int, action, rng) -> StepOutcome:
         a = int(action)
         if not 0 <= a < 6:

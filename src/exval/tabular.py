@@ -33,21 +33,27 @@ def count_bonus(counts: np.ndarray, s: int, a: int) -> float:
 def q_update(table: np.ndarray, s: int, a: int, reward: float, s_next: int,
              absorbing: bool, lr: float, gamma: float) -> None:
     """One TD(0) backup with a max bootstrap, zeroed on absorption."""
-    bootstrap = 0.0 if absorbing else float(np.max(table[s_next]))
+    bootstrap = 0.0 if absorbing else float(table[s_next].max())
     table[s, a] += lr * (reward + gamma * bootstrap - table[s, a])
 
 
 def greedy_action(row: np.ndarray) -> int:
     """Lowest index among maximizers, making greedy play deterministic."""
-    return int(np.argmax(row))
+    return int(row.argmax())
 
 
 class TabularAgent:
     """What the table agents share: no episode-end work, no run
-    statistics, and checkpoint state made of the tables named in
+    statistics, no per-state greedy policy unless a subclass overrides
+    ``greedy_policy``, and checkpoint state made of the tables named in
     ``TABLES``."""
 
     TABLES: tuple[str, ...] = ()
+
+    def greedy_policy(self):
+        """The action ``act`` picks in every state at kappa = 0, as an
+        int array, or None when ``act`` draws from its rng."""
+        return None
 
     def end_episode(self, kappa: float, rng) -> None:
         pass
@@ -104,6 +110,9 @@ class AdditiveBonusAgent(TabularAgent):
     def act(self, obs: int, kappa: float, rng) -> int:
         return greedy_action(self.q[obs])
 
+    def greedy_policy(self) -> np.ndarray:
+        return self.q.argmax(axis=1)
+
     def observe(self, tr: Transition, kappa: float, rng) -> None:
         bonus = count_bonus(self.counts, tr.state, tr.action)
         q_update(self.q, tr.state, tr.action, tr.reward + self.xi * bonus,
@@ -124,6 +133,9 @@ class ExplorationValuesAgent(TabularAgent):
 
     def act(self, obs: int, kappa: float, rng) -> int:
         return greedy_action(self.q[obs] + kappa * self.u[obs])
+
+    def greedy_policy(self) -> np.ndarray:
+        return (self.q + 0.0 * self.u).argmax(axis=1)     # act at kappa = 0
 
     def observe(self, tr: Transition, kappa: float, rng) -> None:
         bonus = count_bonus(self.counts, tr.state, tr.action)

@@ -380,6 +380,20 @@ def test_aggregate_bad_run_csv_exits_2_naming_file(tmp_path, capsys):
         assert "run_s001.csv" in capsys.readouterr().err, case
         assert not (out / "summary.csv").exists(), case
 
+    # so is a corrupt config.json, named with the real cause
+    bad_params = dict(config.to_dict(), env={"name": "cliff",
+                                             "params": ["abc"]})
+    for text, cause in (("{bad", "is not valid JSON"),
+                        ("[]", "must be a JSON object"),
+                        ('{"n_seeds": 2}', "missing config key"),
+                        (json.dumps(bad_params), "env params must be")):
+        (out / "config.json").write_text(text)
+        assert main(["aggregate", "--in", str(out)]) == 2, text
+        err = capsys.readouterr().err
+        assert "config.json" in err and cause in err, (text, err)
+        assert not (out / "summary.csv").exists(), text
+    (out / "config.json").write_text(json.dumps(config.to_dict()))
+
     # a lone header-only file must not aggregate to a one-run summary
     (out / "run_s000.csv").unlink()
     (out / "run_s001.csv").write_text(header)
@@ -639,6 +653,16 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
     emuq_car = {"name": "mountaincar", "params": {"max_episode_steps": 5}}
     cases = {
         "n_episodes": ({"n_episodes": "ten"}, "bad run counts"),
+        "fractional n_episodes": ({"n_episodes": 2.7}, "bad run counts"),
+        "bool n_seeds": ({"n_seeds": True}, "bad run counts"),
+        "fractional base_seed": ({"base_seed": 0.5}, "bad run counts"),
+        "string base_seed": ({"base_seed": "0"}, "bad run counts"),
+        "list env params": (
+            {"env": {"name": "chain", "params": ["abc"]}},
+            "env params must be an object"),
+        "number schedule params": (
+            {"schedule": {"variant": "constant", "params": 5}},
+            "schedule params must be an object"),
         "chain n_states": (
             {"env": {"name": "chain", "params": {"n_states": 1}}},
             "bad env params: chain needs at least 2 states"),

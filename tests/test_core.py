@@ -7,6 +7,9 @@ import pytest
 from exval import core
 from exval.core import (EnvSpec, StepOutcome, Transition,
                         eval_pure_exploit, run_episode, seed_streams)
+from exval.envs import CliffEnv, TaxiEnv
+from exval.tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
+                           ExplorationValuesAgent)
 
 
 class LineEnv:
@@ -26,6 +29,11 @@ class LineEnv:
 
     def observe(self, raw):
         return raw
+
+    def transition_tables(self):
+        # no tables: evaluation steps through run_episode, so the tests
+        # below see every ScriptAgent.act call
+        return None
 
     def step(self, raw, action, rng):
         nxt = min(raw + 1, self.n - 1) if action == 1 else max(raw - 1, 0)
@@ -160,3 +168,88 @@ def test_eval_pure_exploit_frozen_and_greedy():
     assert agent.observed == []
     assert agent.episodes_ended == 0
     assert set(agent.kappas_seen) == {0.0}
+
+
+def tabular_agent(agent_class, env, tables, seed=0):
+    """A tabular agent whose tables are all zero, random, or solved: Q
+    from value iteration on the env's tables, U (if any) random."""
+    agent = agent_class(env.spec.n_states, env.spec.n_actions)
+    rng = np.random.default_rng(seed)
+    if tables != "zeros":
+        for name in ("q", "u"):
+            if hasattr(agent, name):
+                setattr(agent, name, rng.normal(size=agent.q.shape))
+    if tables == "solved":
+        next_state, reward, goal = env.transition_tables()
+        for _ in range(200):
+            agent.q = reward + 0.9 * np.where(
+                goal, 0.0, agent.q.max(axis=1)[next_state])
+    return agent
+
+
+def reference_eval(env, agent, n_episodes, eval_rng):
+    """eval_pure_exploit as one run_episode per evaluation episode; also
+    gives each episode's step count."""
+    logs = [run_episode(env, agent, eval_rng, eval_rng, kappa=0.0,
+                        learn=False) for _ in range(n_episodes)]
+    return (np.array([log.return_undiscounted for log in logs]),
+            np.array([log.steps for log in logs]))
+
+
+@pytest.fixture
+def run_episode_calls(monkeypatch):
+    """The calls eval_pure_exploit makes to core.run_episode."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(core, "run_episode", counting)
+    return calls
+
+
+GREEDY_CASES = [(cls, tables)
+                for cls in (AdditiveBonusAgent, ExplorationValuesAgent)
+                for tables in ("zeros", "random", "solved")]
+
+
+@pytest.mark.parametrize("agent_class,tables", GREEDY_CASES)
+def test_greedy_policy_is_act_in_every_state(agent_class, tables):
+    env = TaxiEnv()
+    agent = tabular_agent(agent_class, env, tables)
+    rng = np.random.default_rng(0)
+    acts = [agent.act(s, 0.0, rng) for s in range(env.spec.n_states)]
+    npt.assert_array_equal(agent.greedy_policy(), acts)
+
+
+@pytest.mark.parametrize("agent_class,tables", GREEDY_CASES)
+def test_eval_walk_matches_step_loop_bit_for_bit(agent_class, tables,
+                                                 run_episode_calls):
+    env = TaxiEnv()
+    agent = tabular_agent(agent_class, env, tables)
+    want_rng = np.random.default_rng(7)
+    want, steps = reference_eval(env, agent, 30, want_rng)
+    got_rng = np.random.default_rng(7)
+    got = eval_pure_exploit(env, agent, 30, got_rng)
+    assert run_episode_calls == []     # the walk, not the step loop
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if tables == "solved":
+        assert np.all(want == 1.0)
+    else:      # most episodes run into the step cap
+        assert np.count_nonzero(steps == env.spec.max_episode_steps) > 15
+
+
+@pytest.mark.parametrize("make_env,agent_class", [
+    (TaxiEnv, EpsilonGreedyAgent),
+    (lambda: CliffEnv(slip_prob=0.1), ExplorationValuesAgent),
+])
+def test_eval_steps_when_act_or_step_draws(make_env, agent_class,
+                                           run_episode_calls):
+    env = make_env()
+    agent = tabular_agent(agent_class, env, "random")
+    want, _ = reference_eval(env, agent, 5, np.random.default_rng(3))
+    got = eval_pure_exploit(env, agent, 5, np.random.default_rng(3))
+    assert len(run_episode_calls) == 5
+    assert got.tobytes() == want.tobytes()
