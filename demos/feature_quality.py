@@ -59,7 +59,7 @@ def fit_rmse(Phi_train, y, Phi_test, y_test):
     model = BayesianLinearModel(Phi_train.shape[1], alpha=1e-3, beta=100.0)
     for phi, target in zip(Phi_train, y):
         model.observe(phi, target)
-    err = model.predict_mean(Phi_test)[:, 0] - y_test
+    err = (Phi_test @ model.m)[:, 0] - y_test
     return float(np.sqrt(np.mean(err ** 2)))
 
 

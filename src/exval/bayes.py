@@ -91,10 +91,6 @@ class BayesianLinearModel:
         """Remove accumulated asymmetry drift in S (exact S is symmetric)."""
         self.S = (self.S + self.S.T) / 2.0
 
-    def predict_mean(self, phi) -> np.ndarray:
-        """Posterior predictive mean(s); (n_heads,) or (N, n_heads)."""
-        return np.asarray(phi, dtype=float) @ self.m
-
     def centered_quadratic(self, phi):
         """phi^T (S - alpha^{-1} I) phi, row-wise for batches.
 

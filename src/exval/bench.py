@@ -488,6 +488,7 @@ def load_checkpoint(path):
         env_params = json.loads(str(data["env_params"]))
         agent_params = json.loads(str(data["agent_params"]))
         env = make_env(env_name, **env_params)
+        emuq_config = EmuqConfig(**agent_params) if kind == "emuq" else None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path} has bad metadata: {exc}") from None
     config = ExperimentConfig(
@@ -495,9 +496,14 @@ def load_checkpoint(path):
         agent_kind=kind, agent_params=agent_params,
         schedule_variant="constant", schedule_params={"kappa0": 0.0},
         n_episodes=1, n_seeds=1)
-    agent = make_agent(config, env, np.random.default_rng(0))
     try:
-        agent.load_state_arrays(data)
+        if emuq_config is not None:
+            # Built on the saved feature map: a fresh one would be drawn
+            # only to be replaced.
+            agent = EmuQ.from_state_arrays(env.spec, emuq_config, data)
+        else:
+            agent = make_agent(config, env, np.random.default_rng(0))
+            agent.load_state_arrays(data)
     except KeyError as exc:
         raise CheckpointError(f"{path} is missing array {exc}") from None
     return agent, env

@@ -7,8 +7,8 @@ Subcommands:
 * ``aggregate --in DIR``
   recompute aggregate.csv and summary.csv from a results directory.
 * ``eval --checkpoint FILE --episodes N [--seed S]``
-  score a checkpointed agent with pure exploitation on the environment
-  saved with it.
+  score a checkpointed agent at kappa = 0 on the environment saved with
+  it (an ``epsilon_greedy`` agent still explores with its epsilon).
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """

@@ -14,9 +14,13 @@ discrete, uniform box samples plus endpoints when continuous).
 
 Per step the posterior absorbs the transition through a rank-1 update
 with bootstrapped targets; at each episode end the weight means are
-re-solved by fixed-point sweeps over the whole transition store, with
-exploration rewards recomputed under the current covariance first, so
-stale per-step targets get corrected.
+re-solved to the fixed point of the bootstrapped regression over the
+whole transition store, with exploration rewards recomputed under the
+current covariance first, so stale per-step targets get corrected.  The
+re-solve takes exact Newton (LSTD) steps, each one linear solve with the
+greedy action and clipping of every stored row held fixed, as in
+least-squares policy iteration; if the greedy pattern keeps cycling it
+goes on with plain fixed-point steps.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ from .features import QUASI_RANDOM, JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
 SYMMETRIZE_EVERY = 1000
-# Episode-end re-solve: stop once no weight moves by more than SWEEP_TOL,
-# or after SWEEP_MAX_ITERS iterations.
+# Episode-end re-solve: at most NEWTON_STEPS exact Newton steps, then
+# plain fixed-point steps; stop once no weight moves by more than
+# SWEEP_TOL, or after SWEEP_MAX_ITERS iterations of either kind.
 SWEEP_TOL = 1e-6
 SWEEP_MAX_ITERS = 200
+NEWTON_STEPS = 10
 
 
 def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
@@ -96,8 +102,7 @@ class EmuQ:
     """
 
     def __init__(self, env_spec: EnvSpec, config: EmuqConfig, rng):
-        self.spec = env_spec
-        self.config = config
+        self._init_learner(env_spec, config)
         feature_seed = int(rng.integers(2 ** 63))
         self.fmap = make_joint_map(
             env_spec.state_dim, config.lengthscale_state,
@@ -105,6 +110,22 @@ class EmuQ:
             seed=feature_seed, n_actions=env_spec.n_actions,
             action_low=env_spec.action_low, action_high=env_spec.action_high,
             lengthscale_action=config.lengthscale_action)
+
+    @classmethod
+    def from_state_arrays(cls, env_spec: EnvSpec, config: EmuqConfig,
+                          arrays) -> "EmuQ":
+        """Agent restored from ``state_arrays`` on its saved feature map,
+        without first drawing a fresh map (the quasi-random scheme
+        imports scipy.stats, most of a second) only to replace it."""
+        agent = cls.__new__(cls)
+        agent._init_learner(env_spec, config)
+        agent.load_state_arrays(arrays)
+        return agent
+
+    def _init_learner(self, env_spec: EnvSpec, config: EmuqConfig) -> None:
+        """Everything but the feature map, at its fresh-agent value."""
+        self.spec = env_spec
+        self.config = config
         self.model = BayesianLinearModel(config.n_features, config.alpha,
                                          config.beta, n_heads=2)
         self._phi_rows: list[np.ndarray] = []
@@ -257,14 +278,17 @@ class EmuQ:
         Policy evaluation inside the sweep maximizes Q + kappa U over a
         shared candidate action set; the trigonometric split of the
         feature map lets all (stored state, candidate) values come from
-        two matrix products per iteration.
+        two matrix products per iteration, and the next-state feature
+        rows of the chosen actions from elementwise products.
         """
         c = self.config
         self.model.symmetrize()
+        S = self.model.S
         Phi = np.vstack(self._phi_rows)
         r = np.asarray(self._rewards)
         absorbing = np.asarray(self._absorbing, dtype=bool)
         next_states = np.vstack(self._next_obs)
+        rows = np.arange(len(r))
         n_spectral = self.fmap.n_spectral
         scale = 1.0 / np.sqrt(n_spectral)
 
@@ -280,36 +304,83 @@ class EmuQ:
 
         (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
 
+        def newton_step(targets, k_star, raw, boot):
+            """Exact fixed point of the map with its pattern held: rows
+            whose bootstrap is clipped or absorbing keep their constant
+            value, the rest bootstrap linearly through the next-state
+            features Psi of their chosen action, so m solves
+
+                (I - gamma beta S Phi^T Psi) m
+                    = beta S Phi^T (targets + gamma const).
+
+            Returns None if that system is singular or its solution is
+            not finite.
+            """
+            free = (boot == raw) & ~absorbing
+            const = np.where(free, 0.0, boot)
+            ca, sa = Ca[k_star], Sa[k_star]
+            psi_c = Cs * ca
+            psi_c -= Ss * sa
+            psi_s = Ss * ca
+            psi_s += Cs * sa
+            psi_c[~free] = 0.0
+            psi_s[~free] = 0.0
+            phi_psi = np.hstack([Phi.T @ psi_c, Phi.T @ psi_s])
+            lhs = np.eye(len(S)) - (c.gamma * c.beta * scale) * (S @ phi_psi)
+            rhs = S @ (c.beta * (Phi.T @ (targets + c.gamma * const)))
+            try:
+                m = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError:
+                return None
+            return m if np.isfinite(m).all() else None
+
         def solve_head(targets, m0, t0, values_other, weight_self,
                        weight_other, boot_lo, boot_hi):
-            """Iterate m <- beta S Phi^T (targets + gamma boot(m)) with the
-            bootstrap taken at the balanced argmax action and projected to
-            the head's attainable value range.
+            """Find the fixed point of m <- T(m) = beta S Phi^T (targets +
+            gamma boot(m)), the bootstrap taken at the balanced argmax
+            action and projected to the head's attainable value range.
 
-            The iteration need not be a contraction; if iterates leave the
-            finite range the head falls back to its incremental per-step
-            fit (m0, t0) rather than installing diverged values.
+            Up to NEWTON_STEPS exact Newton (LSTD) steps come first, each
+            solving for the fixed point under the current argmax and clip
+            pattern; once the pattern repeats, T(m) = m to rounding.  The
+            pattern can cycle, so if they run out the loop continues with
+            plain steps m <- T(m) from the lowest-residual point seen.  The
+            head converges once no weight moves by more than SWEEP_TOL.
+
+            If values leave the finite range the head falls back to its
+            incremental per-step fit (m0, t0) rather than installing
+            diverged values.
             """
             m = m0.copy()
-            t = t0.copy()
+            newton = True
+            best_delta, best_next = np.inf, None
             with np.errstate(over="ignore", invalid="ignore"):
                 for it in range(SWEEP_MAX_ITERS):
                     values = pair_values(m)
                     balanced = (weight_self * values
                                 + weight_other * values_other)
                     k_star = np.argmax(balanced, axis=1)
-                    boot = values[np.arange(values.shape[0]), k_star]
-                    boot = np.clip(boot, boot_lo, boot_hi)
+                    raw = values[rows, k_star]
+                    boot = np.clip(raw, boot_lo, boot_hi)
                     boot[absorbing] = 0.0
                     t = c.beta * (Phi.T @ (targets + c.gamma * boot))
-                    m_new = self.model.S @ t
+                    m_new = S @ t
                     delta = float(np.max(np.abs(m_new - m)))
                     if not np.isfinite(delta):
                         return m0.copy(), t0.copy(), it + 1, False
-                    m = m_new
                     if delta < SWEEP_TOL:
-                        return m, t, it + 1, True
-            return m, t, SWEEP_MAX_ITERS, False
+                        return m_new, t, it + 1, True
+                    if not newton:
+                        m = m_new
+                        continue
+                    if delta < best_delta:
+                        best_delta, best_next = delta, m_new
+                    m = (newton_step(targets, k_star, raw, boot)
+                         if it < NEWTON_STEPS else None)
+                    if m is None:
+                        newton = False
+                        m = best_next
+            return m_new, t, SWEEP_MAX_ITERS, False
 
         m_q0 = self.model.m[:, 0]
         m_u0 = self.model.m[:, 1]
@@ -410,12 +481,13 @@ class EmuQ:
                      lengthscales=np.array(arrays["lengthscales"]),
                      scheme=str(arrays["feature_scheme"]),
                      seed=int(arrays["feature_seed"]))
+        spec = self.spec
         self.fmap = JointRffMap(
-            rff=rff, state_dim=self.fmap.state_dim,
-            action_dim=self.fmap.action_dim,
-            action_low=self.fmap.action_low,
-            action_high=self.fmap.action_high,
-            n_actions=self.fmap.n_actions)
+            rff=rff, state_dim=spec.state_dim,
+            action_dim=(spec.n_actions if spec.discrete_actions
+                        else len(spec.action_low)),
+            action_low=spec.action_low, action_high=spec.action_high,
+            n_actions=spec.n_actions)
         self.model.S = np.array(arrays["S"])
         self.model.t = np.array(arrays["t"])
         self.model.m = np.array(arrays["m"])

@@ -101,17 +101,6 @@ def test_covariance_only_then_set_targets():
     npt.assert_allclose(deferred.m, full.m, atol=1e-12)
 
 
-def test_predict_mean_single_and_batch():
-    rng = np.random.default_rng(4)
-    model = BayesianLinearModel(4, n_heads=2)
-    for _ in range(10):
-        model.observe(rng.standard_normal(4), rng.standard_normal(2))
-    phi = rng.standard_normal(4)
-    npt.assert_allclose(model.predict_mean(phi), phi @ model.m, atol=1e-15)
-    batch = rng.standard_normal((7, 4))
-    assert model.predict_mean(batch).shape == (7, 2)
-
-
 def test_prior_variance_is_fresh_unit_norm_prediction():
     model = BayesianLinearModel(9, alpha=0.1, beta=2.0)
     phi = np.zeros(9)

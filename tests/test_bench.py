@@ -575,6 +575,37 @@ def test_tabular_agents_do_not_import_scipy_stats():
     assert done.stdout.split() == ["ExplorationValuesAgent", "False"]
 
 
+def test_emuq_checkpoint_load_does_not_import_scipy_stats(tmp_path):
+    # Loading restores the saved feature map; drawing a fresh quasi-random
+    # one first would import scipy.stats for a map that is thrown away.
+    config = tiny_config(
+        env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
+        agent={"kind": "emuq",
+               "params": {"n_features": 32, "n_action_candidates": 8,
+                          "n_expectation_samples": 4,
+                          "n_sweep_candidates": 4}},
+        schedule={"variant": "constant", "params": {"kappa0": 0.1}},
+        n_episodes=1)
+    _, agent = run_single(config, 0, keep_agent=True)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(agent, path, config)
+    code = textwrap.dedent("""
+        import sys
+        from exval.bench import load_checkpoint
+        agent, env = load_checkpoint(sys.argv[1])
+        print(type(agent).__name__, agent.fmap.n_features,
+              "scipy.stats" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+    done = subprocess.run([sys.executable, "-c", code, str(path)],
+                          env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == ["EmuQ", "32", "False"]
+
+
 # -- CLI ---------------------------------------------------------------
 
 

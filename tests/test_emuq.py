@@ -6,14 +6,18 @@ exploration-reward values against hand-computed posteriors on stub
 feature maps.
 """
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from exval.bayes import BayesianLinearModel
+from exval.bayes import BayesianLinearModel, exact_posterior
+from exval.bench import load_config, make_agent
 from exval.core import EnvSpec, Transition, run_episode, seed_streams
-from exval.emuq import EmuQ, EmuqConfig, pair_value_matrix, v_max
-from exval.envs import ChainEnv, MountainCarEnv
+from exval.emuq import (NEWTON_STEPS, SWEEP_TOL, EmuQ, EmuqConfig,
+                        pair_value_matrix, v_max)
+from exval.envs import ChainEnv, MountainCarEnv, make_env
 from exval.features import make_joint_map
 
 
@@ -322,3 +326,136 @@ def test_state_arrays_roundtrip_bitwise():
     actions = probe.uniform(-1, 1, size=(50, 1))
     npt.assert_array_equal(fresh.fmap.embed_pairs(states, actions),
                            agent.fmap.embed_pairs(states, actions))
+
+
+# -- episode-end re-solve ----------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def record_resolves(agent):
+    """Keep, for every episode-end re-solve, what its fixed-point map
+    depends on: both candidate draws, the covariance, the weight means
+    before and after, and the bootstrap bounds."""
+    records, draws = [], []
+    candidates, sweep = agent._candidates, agent._sweep
+
+    def recording_candidates(rng, n, endpoints):
+        draws.append(candidates(rng, n, endpoints))
+        return draws[-1]
+
+    def recording_sweep(kappa, rng):
+        draws.clear()
+        m_before = agent.model.m.copy()
+        sweep(kappa, rng)
+        sweep_actions, expectation_actions = draws
+        records.append({
+            "kappa": kappa, "n": len(agent._rewards),
+            "actions": sweep_actions,
+            "expectation_actions": expectation_actions,
+            "S": agent.model.S.copy(), "m_before": m_before,
+            "m": agent.model.m.copy(), "bounds": agent._boot_bounds(),
+            "history": agent.sweep_history[-1]})
+
+    agent._candidates = recording_candidates
+    agent._sweep = recording_sweep
+    return records
+
+
+def resolve_residuals(agent, rec):
+    """max |T(m) - m| for the Q and U heads at a re-solve's result, with
+    the map T rebuilt by brute force from the stored transitions."""
+    c, n = agent.config, rec["n"]
+    Phi = np.vstack(agent._phi_rows[:n])
+    rewards = np.asarray(agent._rewards[:n])
+    absorbing = np.asarray(agent._absorbing[:n])
+    next_obs = np.vstack(agent._next_obs[:n])
+
+    def embed_all(actions):
+        for k in range(len(actions)):
+            yield agent.fmap.embed_pairs(
+                next_obs, np.repeat(actions[k:k + 1], n, axis=0))
+
+    def values(m):
+        return np.column_stack([phi @ m
+                                for phi in embed_all(rec["actions"])])
+
+    C = rec["S"] - np.eye(len(rec["S"])) / c.alpha
+    quad = [np.einsum("ij,ij->i", phi @ C, phi)
+            for phi in embed_all(rec["expectation_actions"])]
+    r_e = np.clip(np.mean(quad, axis=0) / c.beta, -agent.v_max, 0.0)
+
+    def T(targets, m, values_other, weight_self, weight_other, bounds):
+        v = values(m)
+        k = np.argmax(weight_self * v + weight_other * values_other, axis=1)
+        boot = np.clip(v[np.arange(n), k], *bounds)
+        boot[absorbing] = 0.0
+        return rec["S"] @ (c.beta * (Phi.T @ (targets + c.gamma * boot)))
+
+    kappa = rec["kappa"]
+    m_q, m_u = rec["m"].T
+    q_bounds, u_bounds = rec["bounds"]
+    t_q = T(rewards, m_q, values(rec["m_before"][:, 1]), 1.0, kappa,
+            q_bounds)
+    t_u = T(r_e, m_u, values(m_q), kappa, 1.0, u_bounds)
+    return np.max(np.abs(t_q - m_q)), np.max(np.abs(t_u - m_u))
+
+
+@pytest.fixture(scope="module")
+def mountaincar_resolves():
+    """The shipped mountain-car agent on seed 0: two episodes at
+    kappa 0.1, then one at kappa 0, with every re-solve recorded."""
+    config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
+    agent = make_agent(config, env, agent_rng)
+    records = record_resolves(agent)
+    for kappa in (0.1, 0.1, 0.0):
+        run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
+    return agent, records
+
+
+def test_resolve_reaches_its_fixed_point(mountaincar_resolves):
+    agent, records = mountaincar_resolves
+    assert [rec["kappa"] for rec in records] == [0.1, 0.1, 0.0]
+    for rec in records:
+        assert rec["history"]["converged_q"], rec["history"]
+        assert rec["history"]["converged_u"], rec["history"]
+        res_q, res_u = resolve_residuals(agent, rec)
+        assert res_q <= 1e-6 and res_u <= 1e-6, (rec["history"], res_q,
+                                                  res_u)
+
+
+def test_posterior_stays_spd_and_matches_direct_solve(mountaincar_resolves):
+    agent, records = mountaincar_resolves
+    rec = records[1]                     # after two episodes
+    S = rec["S"]
+    npt.assert_array_equal(S, S.T)
+    assert np.linalg.eigvalsh(S).min() > 0.0
+    Phi = np.vstack(agent._phi_rows[:rec["n"]])
+    S_exact, _ = exact_posterior(Phi, np.zeros(rec["n"]), agent.config.alpha,
+                                 agent.config.beta)
+    assert np.max(np.abs(S - S_exact)) <= 1e-9
+
+
+def test_resolve_past_its_newton_steps_stays_finite_and_honest():
+    # On the 40-state chain the greedy pattern keeps flipping between
+    # Newton steps, so the re-solve goes on with plain steps and may stop
+    # at the cap; it must still install finite weights and flag
+    # convergence only where the map's residual says so.
+    config = load_config(CONFIG_DIR / "chain_emuq_scaling_n40.json")
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
+    agent = make_agent(config, env, agent_rng)
+    records = record_resolves(agent)
+    run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
+    (rec,) = records
+    history = rec["history"]
+    assert max(history["iters_q"], history["iters_u"]) > NEWTON_STEPS + 1
+    assert np.isfinite(agent.model.m).all()
+    assert np.isfinite(agent.model.t).all()
+    for head, residual in zip("qu", resolve_residuals(agent, rec)):
+        if history[f"converged_{head}"]:
+            assert residual <= 1e-6, (history, residual)
+        else:
+            assert residual > SWEEP_TOL, (history, residual)
