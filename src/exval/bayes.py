@@ -97,10 +97,11 @@ class BayesianLinearModel:
         Equals phi^T S phi - ||phi||^2 / alpha but evaluates to an exact
         0.0 on a fresh posterior, where S - alpha^{-1} I is the zero
         matrix; the subtraction-of-nearly-equal-floats route does not.
+        Here phi S - phi / alpha is that zero row exactly, because a fresh
+        S is diagonal with entries 1 / alpha, and no M x M copy is made.
         """
         phi = np.asarray(phi, dtype=float)
-        centered = self.S.copy()
-        centered[np.diag_indices_from(centered)] -= 1.0 / self.alpha
+        centered_phi = phi @ self.S - phi * (1.0 / self.alpha)
         if phi.ndim == 1:
-            return float(phi @ centered @ phi)
-        return np.einsum("ij,ij->i", phi @ centered, phi)
+            return float(centered_phi @ phi)
+        return np.einsum("ij,ij->i", centered_phi, phi)

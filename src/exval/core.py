@@ -14,6 +14,12 @@ through ``transition_tables`` (the others return None), so that greedy
 evaluation can walk them, indexing the policy by raw state, instead of
 stepping.
 
+Agents speak one protocol: ``act`` picks an action, ``observe`` learns
+from a Transition and may return the action it has committed to for
+the transition's next state (the runner then plays that action instead
+of asking ``act`` again), and ``end_episode`` closes a learning
+episode.
+
 Each run derives three independent random streams (environment, agent,
 evaluation) from a (base_seed, run_seed) pair, so agent stochasticity
 never perturbs environment draws across configurations and interleaved
@@ -92,21 +98,27 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
     """Run one episode until the goal or the env's step cap.
 
     In learning mode the agent sees every transition through ``observe``
-    and gets an ``end_episode`` hook; otherwise the agent is only asked
-    to act, no Transition is built, and its internal state must come out
-    bitwise untouched.
+    and gets an ``end_episode`` hook.  An action that ``observe`` returns
+    is the agent's choice for the next state and is played at the next
+    step without calling ``act``; when it returns None, ``act`` is asked
+    as usual.  Otherwise the agent is asked to act at every step, no
+    Transition is built, and its internal state must come out bitwise
+    untouched.
     """
     log = EpisodeLog()
     raw = env.reset(env_rng)
     obs = env.observe(raw)
+    pending = None
     for _ in range(env.spec.max_episode_steps):
-        action = agent.act(obs, kappa, agent_rng)
+        action = (agent.act(obs, kappa, agent_rng) if pending is None
+                  else pending)
         outcome = env.step(raw, action, env_rng)
         raw = outcome.next_state
         obs_next = env.observe(raw)
         if learn:
-            agent.observe(Transition(obs, action, outcome.reward, obs_next,
-                                     outcome.goal), kappa, agent_rng)
+            pending = agent.observe(Transition(obs, action, outcome.reward,
+                                               obs_next, outcome.goal),
+                                    kappa, agent_rng)
         log.return_undiscounted += outcome.reward
         log.steps += 1
         if outcome.goal:

@@ -9,18 +9,24 @@ from the posterior's own predictive variance,
 
 which is 0 where the model knows nothing and approaches -V_max where it
 is saturated, so U accumulates "how much is left to learn downstream".
-Actions maximize Q + kappa * U over a candidate set (all actions when
+The average runs over a fixed expectation set built once per agent (all
+actions when discrete, stratified midpoints of a 1-D action box when
+continuous), whose action cos/sin are cached.  Actions maximize
+Q + kappa * U over a candidate set drawn per call (all actions when
 discrete, uniform box samples plus endpoints when continuous).
 
 Per step the posterior absorbs the transition through a rank-1 update
-with bootstrapped targets; at each episode end the weight means are
-re-solved to the fixed point of the bootstrapped regression over the
-whole transition store, with exploration rewards recomputed under the
-current covariance first, so stale per-step targets get corrected.  The
-re-solve takes exact Newton (LSTD) steps, each one linear solve with the
-greedy action and clipping of every stored row held fixed, as in
-least-squares policy iteration; if the greedy pattern keeps cycling it
-goes on with plain fixed-point steps.
+with bootstrapped targets.  The bootstrap is taken at the action chosen
+for s', and ``observe`` returns that action so the episode runner plays
+it next, as on-policy SARSA does: one action choice per state.  At each
+episode end the weight means are re-solved to the fixed point of the
+bootstrapped regression over the whole transition store, with
+exploration rewards recomputed under the current covariance first, so
+stale per-step targets get corrected.  The re-solve takes exact Newton
+(LSTD) steps, each one linear solve with the greedy action and clipping
+of every stored row held fixed, as in least-squares policy iteration;
+if the greedy pattern keeps cycling it goes on with plain fixed-point
+steps.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ class EmuqConfig:
     lengthscale_state: float = 0.3
     lengthscale_action: float = 1.0
     n_action_candidates: int = 100      # K, continuous action search
-    n_expectation_samples: int = 64     # K_e, variance average samples
+    n_expectation_samples: int = 64     # K_e, fixed variance-average set
     n_sweep_candidates: int = 20        # policy candidates inside sweeps
 
     @property
@@ -92,7 +98,7 @@ class EmuqConfig:
 
 
 class EmuQ:
-    """Exploration-values agent for continuous or discrete action spaces.
+    """Exploration-values agent for discrete actions or a 1-D action box.
 
     Parameters
     ----------
@@ -110,6 +116,7 @@ class EmuQ:
             seed=feature_seed, n_actions=env_spec.n_actions,
             action_low=env_spec.action_low, action_high=env_spec.action_high,
             lengthscale_action=config.lengthscale_action)
+        self._build_expectation_set()
 
     @classmethod
     def from_state_arrays(cls, env_spec: EnvSpec, config: EmuqConfig,
@@ -153,16 +160,41 @@ class EmuQ:
     def _as_state(self, obs) -> np.ndarray:
         return np.atleast_1d(np.asarray(obs, dtype=float))
 
-    def _candidates(self, rng, n: int, endpoints: bool) -> np.ndarray:
-        """Every discrete action, or n uniform box samples with the box
-        endpoints appended for 1-D actions when ``endpoints`` is set."""
+    def _candidates(self, rng, n: int) -> np.ndarray:
+        """Every discrete action, or n uniform samples of the 1-D action
+        box with its two endpoints appended."""
         if self.spec.discrete_actions:
             return np.arange(self.spec.n_actions)
         low, high = self.spec.action_low, self.spec.action_high
-        cands = rng.uniform(low, high, size=(n, low.shape[0]))
-        if endpoints and low.shape[0] == 1:
-            cands = np.vstack([cands, low[None, :], high[None, :]])
-        return cands
+        cands = rng.uniform(low, high, size=(n, 1))
+        return np.vstack([cands, low[None, :], high[None, :]])
+
+    def _build_expectation_set(self) -> None:
+        """Fix the actions r_e averages over and cache what uses them.
+
+        Every discrete action, or n_expectation_samples stratified
+        midpoints of a 1-D action box.  Caches the cos/sin of their action
+        projections and the second moments of those blocks, so per-step
+        rows cost one state projection and the episode-end recompute no
+        action projection at all.
+        """
+        spec = self.spec
+        if spec.discrete_actions:
+            actions = np.arange(spec.n_actions)
+        else:
+            low, high = spec.action_low, spec.action_high
+            n = self.config.n_expectation_samples
+            if low.shape[0] != 1:
+                raise ValueError("continuous actions need a 1-D action box "
+                                 f"(got {low.shape[0]} dimensions)")
+            if n < 1:
+                raise ValueError("n_expectation_samples must be >= 1")
+            actions = low + (high - low) * ((np.arange(n) + 0.5) / n)[:, None]
+        proj_a = self.fmap.action_projection(actions)
+        ca, sa = np.cos(proj_a), np.sin(proj_a)
+        k = len(actions)
+        self._expect_cs = (ca, sa)
+        self._expect_moments = (ca.T @ ca / k, ca.T @ sa / k, sa.T @ sa / k)
 
     def _pair_features(self, obs, actions) -> np.ndarray:
         """Feature rows of one state paired with each action in turn."""
@@ -176,16 +208,20 @@ class EmuQ:
 
     # -- acting ----------------------------------------------------------
 
-    def act(self, obs, kappa: float, rng):
-        actions = self._candidates(rng, self.config.n_action_candidates,
-                                   endpoints=True)
+    def _choose(self, obs, kappa: float, rng):
+        """(action, its (Q, U) means) maximizing Q + kappa U over a fresh
+        candidate set."""
+        actions = self._candidates(rng, self.config.n_action_candidates)
         phi = self._pair_features(obs, actions)
         means = phi @ self.model.m                    # (K, 2)
         balanced = means[:, 0] + kappa * means[:, 1]
         idx = int(np.argmax(balanced))                # ties: first candidate
         if self.spec.discrete_actions:
-            return int(actions[idx])
-        return actions[idx].copy()
+            return int(actions[idx]), means[idx]
+        return actions[idx].copy(), means[idx]
+
+    def act(self, obs, kappa: float, rng):
+        return self._choose(obs, kappa, rng)[0]
 
     # -- exploration reward ----------------------------------------------
 
@@ -202,11 +238,21 @@ class EmuQ:
         return float(np.clip(raw, -self.v_max, 0.0))
 
     def exploration_reward(self, obs_next, rng) -> float:
-        """Average posterior Q-variance over actions at s', minus V_max."""
+        """Average posterior Q-variance over the expectation set at s',
+        minus V_max.
+
+        The rows phi(s', a) come from one state projection and the cached
+        action cos/sin by the angle-sum identity.  ``rng`` is unused, as
+        the set is fixed per agent; the parameter stays because hooks
+        around this method (perfbench's recording wrapper) pass the agent
+        stream through it.
+        """
         c = self.config
-        actions = self._candidates(rng, c.n_expectation_samples,
-                                   endpoints=False)
-        phi = self._pair_features(obs_next, actions)
+        proj_s = self.fmap.state_projection(self._as_state(obs_next))
+        cs, ss = np.cos(proj_s), np.sin(proj_s)
+        ca, sa = self._expect_cs
+        phi = np.hstack([cs * ca - ss * sa, ss * ca + cs * sa])
+        phi *= 1.0 / np.sqrt(self.fmap.n_spectral)
         centered = self.model.centered_quadratic(phi)
         norms = np.einsum("ij,ij->i", phi, phi)
         epistemic = centered + norms / c.alpha        # phi^T S phi rows
@@ -244,16 +290,22 @@ class EmuQ:
             u_span = self.v_max / denom
         return (-q_span, q_span), (-u_span, 0.0)
 
-    def observe(self, tr: Transition, kappa: float, rng) -> None:
+    def observe(self, tr: Transition, kappa: float, rng):
+        """Fold one transition into the posterior and the store.
+
+        Returns the action chosen at ``tr.next_state``, whose values gave
+        the bootstrap, for the runner to play next; None when the
+        transition absorbs.
+        """
         c = self.config
         self._r_abs_max = max(self._r_abs_max, abs(float(tr.reward)))
         phi = self._row(tr.state, tr.action)
         r_e = self.exploration_reward(tr.next_state, rng)
+        a_next = None
         if tr.absorbing:
             boot_q = boot_u = 0.0
         else:
-            a_next = self.act(tr.next_state, kappa, rng)
-            boot_q, boot_u = self._row(tr.next_state, a_next) @ self.model.m
+            a_next, (boot_q, boot_u) = self._choose(tr.next_state, kappa, rng)
             (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
             boot_q = float(np.clip(boot_q, q_lo, q_hi))
             boot_u = float(np.clip(boot_u, u_lo, u_hi))
@@ -265,6 +317,7 @@ class EmuQ:
         self._rewards.append(float(tr.reward))
         self._next_obs.append(self._as_state(tr.next_state))
         self._absorbing.append(bool(tr.absorbing))
+        return a_next
 
     def end_episode(self, kappa: float, rng) -> None:
         if self._phi_rows:
@@ -295,7 +348,7 @@ class EmuQ:
         proj_s = self.fmap.state_projection(next_states)
         Cs, Ss = np.cos(proj_s), np.sin(proj_s)
 
-        actions = self._candidates(rng, c.n_sweep_candidates, endpoints=True)
+        actions = self._candidates(rng, c.n_sweep_candidates)
         proj_a = self.fmap.action_projection(actions)
         Ca, Sa = np.cos(proj_a), np.sin(proj_a)
 
@@ -345,13 +398,17 @@ class EmuQ:
             pattern; once the pattern repeats, T(m) = m to rounding.  The
             pattern can cycle, so if they run out the loop continues with
             plain steps m <- T(m) from the lowest-residual point seen.  The
-            head converges once no weight moves by more than SWEEP_TOL.
+            head converges once no weight moves by more than SWEEP_TOL.  A
+            plain step then installs the point whose move was measured
+            (its targets are known), not one step past it, where the map
+            need not contract.
 
             If values leave the finite range the head falls back to its
             incremental per-step fit (m0, t0) rather than installing
             diverged values.
             """
             m = m0.copy()
+            t_m = None                    # targets of m, once m = S t_m
             newton = True
             best_delta, best_next = np.inf, None
             with np.errstate(over="ignore", invalid="ignore"):
@@ -369,17 +426,19 @@ class EmuQ:
                     if not np.isfinite(delta):
                         return m0.copy(), t0.copy(), it + 1, False
                     if delta < SWEEP_TOL:
-                        return m_new, t, it + 1, True
+                        if t_m is None:
+                            return m_new, t, it + 1, True
+                        return m, t_m, it + 1, True
                     if not newton:
-                        m = m_new
+                        m, t_m = m_new, t
                         continue
                     if delta < best_delta:
-                        best_delta, best_next = delta, m_new
+                        best_delta, best_next = delta, (m_new, t)
                     m = (newton_step(targets, k_star, raw, boot)
                          if it < NEWTON_STEPS else None)
                     if m is None:
                         newton = False
-                        m = best_next
+                        m, t_m = best_next
             return m_new, t, SWEEP_MAX_ITERS, False
 
         m_q0 = self.model.m[:, 0]
@@ -390,7 +449,7 @@ class EmuQ:
                                              values_u_fixed, 1.0, kappa,
                                              q_lo, q_hi)
 
-        r_e = self._recompute_exploration_rewards(Cs, Ss, rng)
+        r_e = self._recompute_exploration_rewards(Cs, Ss)
 
         values_q_fixed = pair_values(m_q)
         m_u, t_u, iters_u, ok_u = solve_head(r_e, m_u0, self.model.t[:, 1],
@@ -403,25 +462,19 @@ class EmuQ:
             "iters_u": iters_u, "converged_u": ok_u,
         })
 
-    def _recompute_exploration_rewards(self, Cs, Ss, rng):
+    def _recompute_exploration_rewards(self, Cs, Ss):
         """Exploration rewards for all stored next states under current S.
 
-        Uses the exact average over the candidate action set: with
-        second-moment matrices of the candidate cos/sin projections, the
-        action average of phi^T C phi collapses into one quadratic form
-        per state (brute-force-checked in the test suite).
+        Uses the exact average over the fixed expectation set, the one
+        the per-step rewards average over: with the cached second-moment
+        matrices of its cos/sin projections, the action average of
+        phi^T C phi collapses into one quadratic form per state
+        (brute-force-checked in the test suite).
         """
         c = self.config
         n_spectral = self.fmap.n_spectral
-        actions = self._candidates(rng, c.n_expectation_samples,
-                                   endpoints=False)
-        proj_a = self.fmap.action_projection(actions)
-        Ca, Sa = np.cos(proj_a), np.sin(proj_a)
-        k = actions.shape[0]
-        g_cc = Ca.T @ Ca / k
-        g_cs = Ca.T @ Sa / k
+        g_cc, g_cs, g_ss = self._expect_moments
         g_sc = g_cs.T
-        g_ss = Sa.T @ Sa / k
 
         C = self.model.S - np.eye(self.model.n_features) / c.alpha
         c_cc = C[:n_spectral, :n_spectral]
@@ -488,6 +541,7 @@ class EmuQ:
                         else len(spec.action_low)),
             action_low=spec.action_low, action_high=spec.action_high,
             n_actions=spec.n_actions)
+        self._build_expectation_set()
         self.model.S = np.array(arrays["S"])
         self.model.t = np.array(arrays["t"])
         self.model.m = np.array(arrays["m"])

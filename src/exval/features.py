@@ -165,14 +165,6 @@ class JointRffMap:
     def action_projection(self, actions) -> np.ndarray:
         return self.encode_actions(actions) @ self.rff.frequencies[self.state_dim:]
 
-    def embed(self, state, action) -> np.ndarray:
-        """Feature vector for one (state, action) pair."""
-        state = np.asarray(state, dtype=float).reshape(1, -1)
-        proj = self.state_projection(state)[0] + self.action_projection(
-            np.asarray(action).reshape(1, -1) if not self.discrete else action)[0]
-        scale = 1.0 / np.sqrt(self.n_spectral)
-        return np.concatenate([np.cos(proj), np.sin(proj)]) * scale
-
     def embed_pairs(self, states, actions) -> np.ndarray:
         """Row-wise features for paired states[i], actions[i]."""
         proj = self.state_projection(states) + self.action_projection(actions)

@@ -131,6 +131,42 @@ def test_goal_on_final_allowed_step_is_absorbing():
     assert not any(tr.absorbing for tr in agent.observed[:-1])
 
 
+class CommittingAgent(ScriptAgent):
+    """A ScriptAgent whose observe commits to the next action, taken in
+    turn from its own loop."""
+
+    def __init__(self, actions, commits):
+        super().__init__(actions)
+        self.commits = list(commits)
+
+    def observe(self, tr, kappa, rng):
+        super().observe(tr, kappa, rng)
+        return self.commits[(len(self.observed) - 1) % len(self.commits)]
+
+
+def test_run_episode_plays_the_action_observe_returns():
+    env = LineEnv(n=5)
+    agent = CommittingAgent([0], commits=[1])
+    rng = np.random.default_rng(0)
+    log = run_episode(env, agent, rng, rng, kappa=0.5)
+    # act chose the first action only; every later one is a commitment
+    assert agent.cursor == 1
+    assert [tr.action for tr in agent.observed] == [0, 1, 1, 1, 1]
+    assert log.reached_goal and log.steps == 5
+    # without learning there is no observe, so act chooses every step
+    log = run_episode(env, agent, rng, rng, kappa=0.5, learn=False)
+    assert agent.cursor == 1 + log.steps == 1 + 8
+
+
+def test_run_episode_asks_act_every_step_when_observe_returns_none():
+    env = LineEnv(n=5, max_episode_steps=6)
+    agent = ScriptAgent([0, 1])
+    rng = np.random.default_rng(0)
+    log = run_episode(env, agent, rng, rng, kappa=0.5)
+    assert agent.cursor == log.steps == 6
+    assert [tr.action for tr in agent.observed] == [0, 1, 0, 1, 0, 1]
+
+
 def test_no_transition_built_without_learning(monkeypatch):
     built = []
 

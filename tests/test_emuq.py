@@ -1,9 +1,9 @@
 """Tests for the two-head value agent with variance-driven exploration.
 
-Vectorized fast paths (pair value matrices, moment-matrix exploration
-rewards) are checked against brute-force loops over explicit embeddings;
-exploration-reward values against hand-computed posteriors on stub
-feature maps.
+Vectorized fast paths (pair value matrices, angle-sum and moment-matrix
+exploration rewards) are checked against brute-force loops over explicit
+embeddings; exploration-reward values against closed forms of
+hand-built posteriors.
 """
 
 from pathlib import Path
@@ -18,7 +18,7 @@ from exval.core import EnvSpec, Transition, run_episode, seed_streams
 from exval.emuq import (NEWTON_STEPS, SWEEP_TOL, EmuQ, EmuqConfig,
                         pair_value_matrix, v_max)
 from exval.envs import ChainEnv, MountainCarEnv, make_env
-from exval.features import make_joint_map
+from exval.features import make_joint_map, rff_embed
 
 
 def test_v_max_forms():
@@ -51,23 +51,13 @@ def test_pair_value_matrix_matches_explicit_embeddings(discrete):
                             np.cos(proj_a), np.sin(proj_a), m,
                             1.0 / np.sqrt(fmap.n_spectral))
 
-    want = np.array([[fmap.embed(s, a) @ m for a in actions]
-                     for s in states])
+    want = np.array([[rff_embed(np.concatenate(
+        [s, fmap.encode_actions(a)[0]]), fmap.rff) @ m for a in actions]
+        for s in states])
     npt.assert_allclose(got, want, atol=1e-12)
 
 
-# -- stub feature maps for exact-value tests ---------------------------
-
-
-class IdentityPairMap:
-    """phi(s, a) = e_a regardless of state; n_features unit vectors."""
-
-    def __init__(self, n):
-        self._eye = np.eye(n)
-
-    def embed_pairs(self, states, actions):
-        idx = np.asarray(actions, dtype=int).reshape(-1)
-        return self._eye[idx]
+# -- stub feature map for exact-value tests ----------------------------
 
 
 class LinearActionMap:
@@ -93,23 +83,40 @@ def test_fresh_agent_exploration_reward_is_exact_zero():
 
 
 def test_exploration_reward_hand_posterior():
-    # Two actions on identity features, alpha = beta = 1 (V_max = 1).
-    # After observing e_0 once, S_00 = 1/2 and S_11 = 1, so the variance
-    # averaged over both actions is 3/4 and r_e = 3/4 - 1 = -1/4 exactly.
-    cfg = EmuqConfig(alpha=1.0, beta=1.0, n_features=4)
+    # Two actions, alpha = beta = 1 (V_max = 1), one observed row
+    # phi0 = phi(s, 0).  Sherman-Morrison gives S = I - phi0 phi0^T / (1 +
+    # |phi0|^2), so phi_a^T (S - I) phi_a = -(phi_a . phi0)^2 / (1 +
+    # |phi0|^2) and r_e is its mean over both actions.  With unit-norm
+    # rows and s' = s that is -(1 + k^2) / 4, k = phi(s, 1) . phi0.
+    cfg = EmuqConfig(alpha=1.0, beta=1.0, n_features=16)
     agent = EmuQ(discrete_spec(), cfg, np.random.default_rng(0))
-    agent.fmap = IdentityPairMap(4)
-    agent.model = BayesianLinearModel(4, 1.0, 1.0, n_heads=2)
-    agent.model.observe(np.eye(4)[0], [0.0, 0.0])
-    rng = np.random.default_rng(2)
-    assert agent.exploration_reward(np.array([0.0]), rng) == -0.25
-    assert agent.re_min == -0.25 and agent.re_max == -0.25
+    s = np.array([0.3])
+    rows = agent.fmap.embed_pairs(np.array([s, s]), [0, 1])
+    phi0 = rows[0]
+    agent.model.observe(phi0, [0.0, 0.0])
+    want = -np.mean((rows @ phi0) ** 2) / (1.0 + phi0 @ phi0)
+    k = rows[1] @ phi0
+    assert abs(want + (1.0 + k ** 2) / 4.0) <= 1e-15
+    got = agent.exploration_reward(s, np.random.default_rng(2))
+    assert abs(got - want) <= 1e-15
+    assert agent.re_min == agent.re_max == got
     assert agent.re_range_violations == 0
 
 
 def box_spec(low=-2.0, high=2.0):
     return EnvSpec(state_dim=1, max_episode_steps=100,
                    action_low=np.array([low]), action_high=np.array([high]))
+
+
+def test_expectation_set_needs_a_1d_box_and_samples():
+    plane = EnvSpec(state_dim=1, max_episode_steps=100,
+                    action_low=np.array([-1.0, -1.0]),
+                    action_high=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="1-D action box"):
+        EmuQ(plane, EmuqConfig(n_features=8), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_expectation_samples"):
+        EmuQ(box_spec(), EmuqConfig(n_features=8, n_expectation_samples=0),
+             np.random.default_rng(0))
 
 
 def test_act_balances_heads_and_reaches_endpoints():
@@ -148,13 +155,13 @@ def test_boot_bounds_arithmetic():
 
 
 def make_clip_agent(gamma):
-    cfg = EmuqConfig(gamma=gamma, alpha=1.0, beta=1.0, n_features=4)
+    cfg = EmuqConfig(gamma=gamma, alpha=1.0, beta=1.0, n_features=16)
     agent = EmuQ(discrete_spec(), cfg, np.random.default_rng(0))
-    agent.fmap = IdentityPairMap(4)
-    agent.model = BayesianLinearModel(4, 1.0, 1.0, n_heads=2)
-    # absurd weights so the raw bootstrap sits far outside the
-    # attainable range
-    agent.model.m = np.full((4, 2), 50.0)
+    # absurd weights: Q = U = 50 for both actions at state 0, so the raw
+    # bootstrap sits far outside the attainable range
+    rows = agent.fmap.embed_pairs(np.zeros((2, 1)), [0, 1])
+    w = np.linalg.lstsq(rows, [50.0, 50.0], rcond=None)[0]
+    agent.model.m = np.column_stack([w, w])
     return agent
 
 
@@ -162,30 +169,34 @@ def test_observe_projects_bootstrap_to_attainable_range():
     agent = make_clip_agent(gamma=0.5)
     tr = Transition(state=np.array([0.0]), action=0, reward=0.0,
                     next_state=np.array([0.0]), absorbing=False)
-    agent.observe(tr, 1.0, np.random.default_rng(5))
-    # Q bootstrap 50 clipped to q_hi = 2, U bootstrap 50 clipped to 0:
-    # targets become [0 + 0.5 * 2, 0 + 0.5 * 0]
-    assert agent.model.t[0, 0] == 1.0
-    assert agent.model.t[0, 1] == 0.0
+    assert agent.observe(tr, 1.0, np.random.default_rng(5)) in (0, 1)
+    # Q bootstrap 50 clipped to q_hi = 2, U bootstrap 50 clipped to 0, and
+    # r_e is 0 on the fresh covariance: targets [0 + 0.5 * 2, 0 + 0.5 * 0]
+    (phi,) = agent._phi_rows
+    npt.assert_array_equal(agent.model.t[:, 0], phi)
+    assert not agent.model.t[:, 1].any()
 
 
 def test_observe_no_projection_without_discounting():
     agent = make_clip_agent(gamma=1.0)
     tr = Transition(state=np.array([0.0]), action=0, reward=0.0,
                     next_state=np.array([0.0]), absorbing=False)
-    agent.observe(tr, 1.0, np.random.default_rng(5))
+    assert agent.observe(tr, 1.0, np.random.default_rng(5)) in (0, 1)
     # no finite attainable range at gamma = 1, so the raw value stands
-    assert agent.model.t[0, 0] == 50.0
+    (phi,) = agent._phi_rows
+    npt.assert_allclose(agent.model.t[:, 0], 50.0 * phi, rtol=1e-12)
 
 
 def test_observe_absorbing_zeroes_bootstrap_and_tracks_reward_scale():
     agent = make_clip_agent(gamma=0.5)
     tr = Transition(state=np.array([0.0]), action=1, reward=-3.0,
                     next_state=np.array([0.0]), absorbing=True)
-    agent.observe(tr, 1.0, np.random.default_rng(6))
+    # absorbing: no next action is chosen
+    assert agent.observe(tr, 1.0, np.random.default_rng(6)) is None
     assert agent._r_abs_max == 3.0
     # absorbing: target is the raw reward, no bootstrap at all
-    assert agent.model.t[1, 0] == -3.0
+    (phi,) = agent._phi_rows
+    npt.assert_array_equal(agent.model.t[:, 0], -3.0 * phi)
 
 
 def mc_setup(run_seed=7, episodes=1, cap=40):
@@ -226,25 +237,37 @@ def test_visited_region_has_lower_exploration_reward():
     assert near < far <= 0.0
 
 
+def expectation_actions(agent):
+    """The fixed set r_e averages over, rebuilt here from its definition:
+    every discrete action, or stratified midpoints of the 1-D box."""
+    spec = agent.spec
+    if spec.discrete_actions:
+        return np.arange(spec.n_actions)
+    k = agent.config.n_expectation_samples
+    low, high = spec.action_low[0], spec.action_high[0]
+    return (low + (high - low) * (np.arange(k) + 0.5) / k)[:, None]
+
+
 def test_recompute_exploration_rewards_matches_brute_force():
     env, agent, rng, logs = mc_setup()
     next_states = np.vstack(agent._next_obs)
     proj = agent.fmap.state_projection(next_states)
+    recomputed = agent._recompute_exploration_rewards(np.cos(proj),
+                                                      np.sin(proj))
+    per_step = [agent.exploration_reward(ns, rng) for ns in agent._next_obs]
+    assert min(per_step) < -0.1        # the covariance has learned something
+    npt.assert_allclose(per_step, recomputed, rtol=0.0, atol=1e-12)
 
-    got = agent._recompute_exploration_rewards(
-        np.cos(proj), np.sin(proj), np.random.default_rng(11))
-
-    # same candidate draw, then one plain loop per state
-    actions = agent._candidates(np.random.default_rng(11),
-                                agent.config.n_expectation_samples,
-                                endpoints=False)
+    # one plain loop per state over explicit embeddings of the fixed set
+    c = agent.config
+    actions = expectation_actions(agent)
+    C = agent.model.S - np.eye(c.n_features) / c.alpha
     want = []
     for ns in agent._next_obs:
-        phi = agent._pair_features(ns, actions)
-        centered = agent.model.centered_quadratic(phi)
-        want.append(np.clip(np.mean(centered) / agent.config.beta,
-                            -agent.v_max, 0.0))
-    npt.assert_allclose(got, want, atol=1e-9)
+        phi = agent.fmap.embed_pairs(np.tile(ns, (len(actions), 1)), actions)
+        quad = np.einsum("ij,ij->i", phi @ C, phi)
+        want.append(np.clip(np.mean(quad) / c.beta, -agent.v_max, 0.0))
+    npt.assert_allclose(per_step, want, rtol=0.0, atol=1e-12)
 
 
 def test_sweep_bookkeeping_and_consistency():
@@ -292,16 +315,15 @@ def test_discrete_agent_on_chain():
     env_rng, agent_rng, _ = seed_streams(0, 0)
     agent = EmuQ(env.spec, cfg, agent_rng)
     actions = []
-    act = agent.act
+    step = env.step
 
-    def recording_act(obs, kappa, rng):
-        action = act(obs, kappa, rng)
+    def recording_step(raw, action, rng):
         actions.append(action)
-        return action
+        return step(raw, action, rng)
 
-    agent.act = recording_act
+    env.step = recording_step
     log = run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
-    assert len(actions) >= log.steps > 0
+    assert len(actions) == log.steps > 0
     assert all(a in (0, 1) for a in actions)
     assert agent.model.m.shape == (64, 2)
     assert np.isfinite(agent.model.m).all()
@@ -335,24 +357,23 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def record_resolves(agent):
     """Keep, for every episode-end re-solve, what its fixed-point map
-    depends on: both candidate draws, the covariance, the weight means
+    depends on: its candidate draw, the covariance, the weight means
     before and after, and the bootstrap bounds."""
     records, draws = [], []
     candidates, sweep = agent._candidates, agent._sweep
 
-    def recording_candidates(rng, n, endpoints):
-        draws.append(candidates(rng, n, endpoints))
+    def recording_candidates(rng, n):
+        draws.append(candidates(rng, n))
         return draws[-1]
 
     def recording_sweep(kappa, rng):
         draws.clear()
         m_before = agent.model.m.copy()
         sweep(kappa, rng)
-        sweep_actions, expectation_actions = draws
+        (sweep_actions,) = draws
         records.append({
             "kappa": kappa, "n": len(agent._rewards),
             "actions": sweep_actions,
-            "expectation_actions": expectation_actions,
             "S": agent.model.S.copy(), "m_before": m_before,
             "m": agent.model.m.copy(), "bounds": agent._boot_bounds(),
             "history": agent.sweep_history[-1]})
@@ -382,7 +403,7 @@ def resolve_residuals(agent, rec):
 
     C = rec["S"] - np.eye(len(rec["S"])) / c.alpha
     quad = [np.einsum("ij,ij->i", phi @ C, phi)
-            for phi in embed_all(rec["expectation_actions"])]
+            for phi in embed_all(expectation_actions(agent))]
     r_e = np.clip(np.mean(quad, axis=0) / c.beta, -agent.v_max, 0.0)
 
     def T(targets, m, values_other, weight_self, weight_other, bounds):
@@ -401,22 +422,64 @@ def resolve_residuals(agent, rec):
     return np.max(np.abs(t_q - m_q)), np.max(np.abs(t_u - m_u))
 
 
+def record_choices(env, agent):
+    """Per episode, count the agent's ``act`` calls and keep each step's
+    action as passed to ``env.step`` next to what ``observe`` returned
+    for that step's transition."""
+    episodes = []
+    act, observe, step = agent.act, agent.observe, env.step
+
+    def counting_act(obs, kappa, rng):
+        episodes[-1]["acts"] += 1
+        return act(obs, kappa, rng)
+
+    def recording_step(raw, action, rng):
+        episodes[-1]["stepped"].append(action)
+        return step(raw, action, rng)
+
+    def recording_observe(tr, kappa, rng):
+        episodes[-1]["absorbing"].append(tr.absorbing)
+        episodes[-1]["returned"].append(observe(tr, kappa, rng))
+        return episodes[-1]["returned"][-1]
+
+    agent.act, agent.observe = counting_act, recording_observe
+    env.step = recording_step
+    return episodes
+
+
 @pytest.fixture(scope="module")
 def mountaincar_resolves():
     """The shipped mountain-car agent on seed 0: two episodes at
-    kappa 0.1, then one at kappa 0, with every re-solve recorded."""
+    kappa 0.1, then one at kappa 0, with every re-solve and every
+    action choice recorded."""
     config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
     env = make_env(config.env_name, **config.env_params)
     env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
     agent = make_agent(config, env, agent_rng)
     records = record_resolves(agent)
+    episodes = record_choices(env, agent)
     for kappa in (0.1, 0.1, 0.0):
+        episodes.append({"acts": 0, "stepped": [], "absorbing": [],
+                         "returned": []})
         run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
-    return agent, records
+    return agent, records, episodes
+
+
+def test_one_action_choice_per_state_while_learning(mountaincar_resolves):
+    _, _, episodes = mountaincar_resolves
+    for ep in episodes:
+        # act picks the first action only; every later one is the
+        # bootstrap action observe chose for that state
+        assert ep["acts"] == 1
+        assert len(ep["stepped"]) == len(ep["returned"]) > 1
+        for i, returned in enumerate(ep["returned"]):
+            assert (returned is None) == ep["absorbing"][i]
+            if i + 1 < len(ep["stepped"]):
+                npt.assert_array_equal(returned, ep["stepped"][i + 1])
 
 
 def test_resolve_reaches_its_fixed_point(mountaincar_resolves):
-    agent, records = mountaincar_resolves
+    agent, records, _ = mountaincar_resolves
     assert [rec["kappa"] for rec in records] == [0.1, 0.1, 0.0]
     for rec in records:
         assert rec["history"]["converged_q"], rec["history"]
@@ -427,7 +490,7 @@ def test_resolve_reaches_its_fixed_point(mountaincar_resolves):
 
 
 def test_posterior_stays_spd_and_matches_direct_solve(mountaincar_resolves):
-    agent, records = mountaincar_resolves
+    agent, records, _ = mountaincar_resolves
     rec = records[1]                     # after two episodes
     S = rec["S"]
     npt.assert_array_equal(S, S.T)
