@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import eval_pure_exploit, run_episode, seed_streams
+from .core import (CheckpointError, eval_pure_exploit, run_episode,
+                   seed_streams)
 from .emuq import EmuQ, EmuqConfig
 from .envs import env_names, make_env
 from .schedules import make_schedule
@@ -38,10 +39,6 @@ AGENT_KINDS = ("epsilon_greedy", "additive", "explvalues", "emuq")
 
 class ConfigError(Exception):
     """Invalid or unresolvable experiment configuration."""
-
-
-class CheckpointError(Exception):
-    """Unreadable, corrupt, or incompatible checkpoint file."""
 
 
 @dataclass(frozen=True)

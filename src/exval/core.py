@@ -1,9 +1,11 @@
 """Environment protocol, episode runner, and RNG discipline.
 
 Environments here are pure transition samplers: ``step`` maps (raw state,
-action, rng) to a StepOutcome and keeps no episode bookkeeping.  Every
-domain is goal-only: the goal is its only absorbing state, so one
-``goal`` flag both ends the episode and zeroes the bootstrap.  The
+action, rng) to a StepOutcome and keeps no episode bookkeeping.
+StepOutcome and Transition are immutable named tuples, cheap to build
+on every step and unpackable in field order.  Every domain is
+goal-only: the goal is its only absorbing state, so one ``goal`` flag
+both ends the episode and zeroes the bootstrap.  The
 runner owns the step cap, which ends an episode without absorbing, and
 assembles EpisodeLogs.  Raw states stay in physical units inside the
 environment; ``observe`` converts them to what agents see (min-max
@@ -18,7 +20,9 @@ Agents speak one protocol: ``act`` picks an action, ``observe`` learns
 from a Transition and may return the action it has committed to for
 the transition's next state (the runner then plays that action instead
 of asking ``act`` again), and ``end_episode`` closes a learning
-episode.
+episode.  ``state_arrays`` gives what a checkpoint saves and
+``load_state_arrays`` restores it; a tabular agent raises
+CheckpointError for a table whose shape or dtype kind is not its own.
 
 Each run derives three independent random streams (environment, agent,
 evaluation) from a (base_seed, run_seed) pair, so agent stochasticity
@@ -29,8 +33,13 @@ evaluations never perturb training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class CheckpointError(Exception):
+    """Unreadable, corrupt, or incompatible checkpoint file."""
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,7 @@ class EnvSpec:
         return self.n_actions is not None
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Raw result of one environment transition."""
 
     next_state: object
@@ -58,8 +66,7 @@ class StepOutcome:
     goal: bool           # the goal was reached; it absorbs
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One agent-visible step.
 
     ``absorbing`` is the step's goal flag: only a goal step zeroes the

@@ -10,7 +10,8 @@ grid's interior walls are blocked.
 The 500 states encode (taxi row, taxi column, passenger location,
 destination), with passenger location 4 meaning "in the taxi".  All
 transitions are deterministic, so they are precomputed into lookup
-tables once per instance.
+tables once per instance; ``step`` reads them through 2-D memoryviews,
+which hand out plain Python ints, floats and bools.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ class TaxiEnv:
                 self.next_state[s, a] = encode(nr, nc, np_loc, dest)
                 self.reward[s, a] = r
                 self.terminal[s, a] = term
+        self._views = tuple(map(memoryview, self.transition_tables()))
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        del state["_views"]     # memoryviews do not pickle
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._views = tuple(map(memoryview, self.transition_tables()))
 
     def reset(self, rng) -> int:
         row = int(rng.integers(5))
@@ -124,8 +135,8 @@ class TaxiEnv:
     def step(self, state: int, action, rng) -> StepOutcome:
         a = int(action)
         if not 0 <= a < 6:
+            # before the lookup: a memoryview wraps negative indices
             raise ValueError(f"invalid taxi action {a}")
-        s = int(state)
-        return StepOutcome(int(self.next_state[s, a]),
-                           float(self.reward[s, a]),
-                           goal=bool(self.terminal[s, a]))
+        next_state, reward, goal = self._views
+        return StepOutcome(next_state[state, a], reward[state, a],
+                           goal[state, a])

@@ -508,6 +508,48 @@ def test_checkpoint_version_1_rejected(tmp_path, capsys):
     assert "version 1" in capsys.readouterr().err
 
 
+def taxi_checkpoint(tmp_path, edit):
+    """A taxi explvalues checkpoint whose tables went through ``edit``."""
+    config = tiny_config(env={"name": "taxi", "params": {}}, n_episodes=2)
+    _, agent = run_single(config, 0, keep_agent=True)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(agent, path, config)
+    with np.load(path) as data:
+        arrays = dict(data)
+    for name in ExplorationValuesAgent.TABLES:
+        arrays[name] = edit(name, arrays[name])
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("cut, shape", [
+    (lambda table: table[:, :5], "(500, 5)"),
+    (lambda table: table[:400], "(400, 6)"),
+], ids=["5_columns", "400_rows"])
+def test_checkpoint_tables_of_the_wrong_shape_rejected(tmp_path, capsys,
+                                                       cut, shape):
+    # Read through flat views, a cut table would be scored at the wrong
+    # cells; eval must refuse it instead.
+    path = taxi_checkpoint(tmp_path, lambda name, table: cut(table))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"table 'q' is float64 of shape "
+                                       f"{shape}")):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "5"]) == 2
+    assert "table 'q'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, dtype", [("q", np.int64), ("u", np.int64),
+                                        ("counts", np.float64)])
+def test_checkpoint_tables_of_the_wrong_dtype_kind_rejected(tmp_path, bad,
+                                                            dtype):
+    path = taxi_checkpoint(tmp_path, lambda name, table:
+                           table.astype(dtype) if name == bad else table)
+    with pytest.raises(CheckpointError,
+                       match=f"table '{bad}' is {np.dtype(dtype)} "):
+        load_checkpoint(path)
+
+
 def test_checkpoint_resumes_emuq_training(tmp_path):
     # N episodes, save, load, one more episode must equal N + 1 episodes
     # without the interruption: the re-solve needs the whole store.

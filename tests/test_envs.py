@@ -5,6 +5,8 @@ absorption-time solves, hand-stepped Euler updates, scripted optimal
 rollouts, and empirical frequencies from seeded rollouts.
 """
 
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -294,6 +296,26 @@ def test_taxi_moves_never_pay():
     env = TaxiEnv()
     assert np.all(env.reward[:, :4] == 0.0)
     assert not env.terminal[:, :4].any()
+
+
+@pytest.mark.parametrize("copied", [False, True])
+def test_taxi_step_returns_plain_table_entries(copied):
+    env = pickle.loads(pickle.dumps(TaxiEnv())) if copied else TaxiEnv()
+    for s in range(500):
+        for a in range(6):
+            out = env.step(s, a, None)
+            assert type(out.next_state) is int
+            assert type(out.reward) is float
+            assert type(out.goal) is bool
+            assert out == (env.next_state[s, a], env.reward[s, a],
+                           env.terminal[s, a])
+
+
+@pytest.mark.parametrize("action", [-1, 6])
+def test_taxi_step_rejects_actions_out_of_range(action):
+    # the tables' views would wrap -1 around to the last action
+    with pytest.raises(ValueError, match="invalid taxi action"):
+        TaxiEnv().step(0, action, None)
 
 
 # ---------------------------------------------------- continuous control

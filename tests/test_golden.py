@@ -1,5 +1,7 @@
 """Golden outputs: the result files of every checked-in tabular config,
-trimmed to 2 seeds and 30 episodes, must keep their exact bytes.
+trimmed to 2 seeds and 30 episodes, must keep their exact bytes, and so
+must the two taxi target-stop configs at their full 250 episodes, the
+only runs here that reach the target-stop latch.
 
 Tabular runs do no BLAS work, so these digests are the same on every
 machine.  EmuQ configs are left out: their matrix products may round
@@ -60,10 +62,24 @@ GOLDEN = {
         "81dd311d89c2603c779d3a04c78f8a668940d25ec79a7404ab6ab95f177556b0",
 }
 
+# Full-length runs, 2 seeds.  The explvalues seeds latch kappa to 0 at
+# episodes 117 and 109; the additive ones never do.  No 30-episode run
+# above gets that far.
+GOLDEN_FULL = {
+    "taxi_additive_target_stop":
+        "b28e46edb02e1632f23888e1dfb116c4a919914934fca8d51b09dcac146013db",
+    "taxi_explvalues_target_stop":
+        "b19955ba04d3e7107745455de3b7b1df42814032f2ab19b681b0ce613719f218",
+}
 
-def result_digest(config_path: Path, out_dir: Path) -> str:
-    config = dataclasses.replace(load_config(config_path),
-                                 n_episodes=N_EPISODES, n_seeds=N_SEEDS)
+
+def result_digest(config_path: Path, out_dir: Path,
+                  n_episodes: int | None = N_EPISODES) -> str:
+    """Digest of a 2-seed run, trimmed to ``n_episodes`` unless None."""
+    config = load_config(config_path)
+    config = dataclasses.replace(
+        config, n_seeds=N_SEEDS,
+        n_episodes=config.n_episodes if n_episodes is None else n_episodes)
     run_experiment(config, out_dir=out_dir, save_checkpoints=False)
     digest = hashlib.sha256()
     for name in RESULT_FILES:
@@ -81,3 +97,9 @@ def test_golden_covers_every_tabular_config():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_result_bytes(name, tmp_path):
     assert result_digest(CONFIG_DIR / f"{name}.json", tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FULL))
+def test_golden_full_length_target_stop_bytes(name, tmp_path):
+    assert (result_digest(CONFIG_DIR / f"{name}.json", tmp_path, None)
+            == GOLDEN_FULL[name])
