@@ -32,7 +32,7 @@ SEED = 3
 
 def describe(name, path):
     config = load_config(path)
-    result = run_single(config, SEED)
+    result, _ = run_single(config, SEED)
     print(f"{name} agent, seed {SEED}")
     if result.latched_at is None:
         print("  target never reached; exploration stayed on for all "

@@ -25,8 +25,8 @@ import numpy as np
 def exact_posterior(Phi, y, alpha: float, beta: float):
     """Closed-form posterior (S, m) from a full design matrix.
 
-    Direct linear solve, O(M^3).  Test oracle and refit path; the
-    incremental model must agree with this to numerical precision.
+    Direct linear solve, O(M^3).  Test oracle: the incremental model
+    must agree with this to numerical precision.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)

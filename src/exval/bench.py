@@ -34,7 +34,10 @@ RESULTS_DIR_VAR = "EXVAL_RESULTS_DIR"
 CSV_HEADER = ["run_id", "seed", "episode", "steps", "return", "kappa",
               "reached_goal", "first_goal_flag"]
 
-AGENT_KINDS = ("epsilon_greedy", "additive", "explvalues", "emuq")
+AGENT_CLASSES = {"epsilon_greedy": EpsilonGreedyAgent,
+                 "additive": AdditiveBonusAgent,
+                 "explvalues": ExplorationValuesAgent,
+                 "emuq": EmuQ}
 
 
 class ConfigError(Exception):
@@ -79,13 +82,15 @@ class ExperimentConfig:
             raise ConfigError("schedule must be an object with a 'variant'")
         if env["name"] not in env_names():
             raise ConfigError(f"unknown environment {env['name']!r}")
-        if agent["kind"] not in AGENT_KINDS:
+        if agent["kind"] not in AGENT_CLASSES:
             raise ConfigError(f"unknown agent kind {agent['kind']!r}")
         n_episodes = _count(raw, "n_episodes")
         n_seeds = _count(raw, "n_seeds")
         base_seed = _count(raw, "base_seed", 0)
         if n_episodes < 1 or n_seeds < 1:
             raise ConfigError("n_episodes and n_seeds must be >= 1")
+        if base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
         return ExperimentConfig(
             experiment=str(raw["experiment"]),
             env_name=env["name"],
@@ -147,6 +152,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def make_agent(config: ExperimentConfig, env, rng):
+    """The config's agent for ``env``, the one place any agent is built.
+
+    ``rng`` seeds an EmuQ feature map; with None the map is left for
+    ``load_state_arrays`` to install.  Tabular agents draw nothing here.
+    """
     kind = config.agent_kind
     params = dict(config.agent_params)
     vector_obs = getattr(env, "vector_obs", False)
@@ -154,20 +164,16 @@ def make_agent(config: ExperimentConfig, env, rng):
         if env.spec.n_states is not None and not vector_obs:
             raise ConfigError("agent 'emuq' needs vector observations; "
                               f"{config.env_name!r} gives state indices")
-        try:
-            return EmuQ(env.spec, EmuqConfig(**params), rng)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad emuq agent params: {exc}") from None
-    if env.spec.n_states is None:
+    elif env.spec.n_states is None:
         raise ConfigError(f"agent {kind!r} needs a discrete-state env")
-    if vector_obs:
+    elif vector_obs:
         raise ConfigError(f"agent {kind!r} needs index observations; "
                           "drop vector_obs from the env params")
-    classes = {"epsilon_greedy": EpsilonGreedyAgent,
-               "additive": AdditiveBonusAgent,
-               "explvalues": ExplorationValuesAgent}
     try:
-        return classes[kind](env.spec.n_states, env.spec.n_actions, **params)
+        if kind == "emuq":
+            return EmuQ(env.spec, EmuqConfig(**params), rng)
+        return AGENT_CLASSES[kind](env.spec.n_states, env.spec.n_actions,
+                                   **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} agent params: {exc}") from None
 
@@ -182,9 +188,9 @@ class RunResult:
     agent_stats: dict = field(default_factory=dict)
 
 
-def run_single(config: ExperimentConfig, seed: int,
-               keep_agent: bool = False):
-    """Execute one seeded run; deterministic in (config, seed)."""
+def run_single(config: ExperimentConfig, seed: int):
+    """Execute one seeded run, deterministic in (config, seed); returns
+    (result, trained agent)."""
     t0 = time.perf_counter()
     env_rng, agent_rng, eval_rng = seed_streams(config.base_seed, seed)
     try:
@@ -215,14 +221,14 @@ def run_single(config: ExperimentConfig, seed: int,
     result.latched_at = getattr(schedule, "latched_at", None)
     result.wall_time = time.perf_counter() - t0
     result.agent_stats = agent.run_stats()
-    return (result, agent) if keep_agent else result
+    return result, agent
 
 
 def _run_seed(config: ExperimentConfig, seed: int, out: Path,
               save_checkpoints: bool) -> RunResult:
     """Run one seed and save its checkpoint if asked; both the serial
     loop and the worker pool of run_experiment run seeds through here."""
-    result, agent = run_single(config, seed, keep_agent=True)
+    result, agent = run_single(config, seed)
     if save_checkpoints:
         save_checkpoint(agent, out / f"checkpoint_s{seed:03d}.npz", config)
     return result
@@ -460,7 +466,9 @@ def save_checkpoint(agent, path, config: ExperimentConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (agent, env) from a checkpoint file."""
+    """Rebuild (agent, env) from a checkpoint file: the saved kind, env
+    and params pass a config file's checks, make_agent builds the agent
+    and its load_state_arrays checks and installs the saved arrays."""
     try:
         data = np.load(path, allow_pickle=False)
     except Exception as exc:
@@ -477,30 +485,23 @@ def load_checkpoint(path):
                                "agent_params") if key not in data.files]
     if missing:
         raise CheckpointError(f"{path} is missing {', '.join(missing)}")
-    kind = str(data["kind"])
-    if kind not in AGENT_KINDS:
-        raise CheckpointError(f"{path} has unknown agent kind {kind!r}")
-    env_name = str(data["env_name"])
     try:
-        env_params = json.loads(str(data["env_params"]))
-        agent_params = json.loads(str(data["agent_params"]))
-        env = make_env(env_name, **env_params)
-        emuq_config = EmuqConfig(**agent_params) if kind == "emuq" else None
-    except (TypeError, ValueError) as exc:
+        config = ExperimentConfig.from_dict({
+            "experiment": "checkpoint",
+            "env": {"name": str(data["env_name"]),
+                    "params": json.loads(str(data["env_params"]))},
+            "agent": {"kind": str(data["kind"]),
+                      "params": json.loads(str(data["agent_params"]))},
+            "schedule": {"variant": "constant"},
+            "n_episodes": 1, "n_seeds": 1})
+        env = make_env(config.env_name, **config.env_params)
+        agent = make_agent(config, env, None)
+    except (ConfigError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path} has bad metadata: {exc}") from None
-    config = ExperimentConfig(
-        experiment="checkpoint", env_name=env_name, env_params=env_params,
-        agent_kind=kind, agent_params=agent_params,
-        schedule_variant="constant", schedule_params={"kappa0": 0.0},
-        n_episodes=1, n_seeds=1)
     try:
-        if emuq_config is not None:
-            # Built on the saved feature map: a fresh one would be drawn
-            # only to be replaced.
-            agent = EmuQ.from_state_arrays(env.spec, emuq_config, data)
-        else:
-            agent = make_agent(config, env, np.random.default_rng(0))
-            agent.load_state_arrays(data)
+        agent.load_state_arrays(data)
     except KeyError as exc:
         raise CheckpointError(f"{path} is missing array {exc}") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return agent, env

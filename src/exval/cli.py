@@ -82,6 +82,8 @@ def cmd_aggregate(args) -> int:
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError("--episodes must be >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     agent, env = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     returns = eval_pure_exploit(env, agent, args.episodes, rng)

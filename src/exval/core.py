@@ -21,8 +21,8 @@ from a Transition and may return the action it has committed to for
 the transition's next state (the runner then plays that action instead
 of asking ``act`` again), and ``end_episode`` closes a learning
 episode.  ``state_arrays`` gives what a checkpoint saves and
-``load_state_arrays`` restores it; a tabular agent raises
-CheckpointError for a table whose shape or dtype kind is not its own.
+``load_state_arrays`` restores it; every agent raises CheckpointError
+for an array whose shape or dtype kind is not its own.
 
 Each run derives three independent random streams (environment, agent,
 evaluation) from a (base_seed, run_seed) pair, so agent stochasticity
@@ -40,6 +40,18 @@ import numpy as np
 
 class CheckpointError(Exception):
     """Unreadable, corrupt, or incompatible checkpoint file."""
+
+
+def checked_array(arrays, name: str, shape: tuple, kind: str,
+                  noun: str = "array") -> np.ndarray:
+    """A copy of the saved ``arrays[name]``, which must have ``shape`` and
+    dtype kind ``kind``; CheckpointError names it otherwise."""
+    array = np.asarray(arrays[name])
+    if array.shape != shape or array.dtype.kind != kind:
+        raise CheckpointError(
+            f"{noun} {name!r} is {array.dtype} of shape {array.shape}; "
+            f"this agent needs kind {kind!r} of shape {shape}")
+    return np.array(array)
 
 
 @dataclass(frozen=True)

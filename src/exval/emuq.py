@@ -32,11 +32,12 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .bayes import BayesianLinearModel
-from .core import EnvSpec, Transition
+from .core import EnvSpec, Transition, checked_array
 from .features import QUASI_RANDOM, JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
@@ -88,9 +89,10 @@ class EmuqConfig:
     n_features: int = 300
     lengthscale_state: float = 0.3
     lengthscale_action: float = 1.0
-    n_action_candidates: int = 100      # K, continuous action search
-    n_expectation_samples: int = 64     # K_e, fixed variance-average set
-    n_sweep_candidates: int = 20        # policy candidates inside sweeps
+    # Sampling sizes, the same for every agent (not config keys).
+    n_action_candidates: ClassVar[int] = 100    # K, continuous action search
+    n_expectation_samples: ClassVar[int] = 64   # K_e, fixed variance set
+    n_sweep_candidates: ClassVar[int] = 20      # policy candidates in sweeps
 
     @property
     def v_max(self) -> float:
@@ -104,33 +106,13 @@ class EmuQ:
     ----------
     env_spec : the environment's EnvSpec (dimensions and action kind).
     config : EmuqConfig.
-    rng : generator used once here to seed the frozen feature map.
+    rng : generator used once here to seed the frozen feature map, or
+        None to leave the map unset for ``load_state_arrays`` to install
+        a saved one (a fresh quasi-random map imports scipy.stats, most
+        of a second, only to be replaced).
     """
 
     def __init__(self, env_spec: EnvSpec, config: EmuqConfig, rng):
-        self._init_learner(env_spec, config)
-        feature_seed = int(rng.integers(2 ** 63))
-        self.fmap = make_joint_map(
-            env_spec.state_dim, config.lengthscale_state,
-            n_features=config.n_features, scheme=QUASI_RANDOM,
-            seed=feature_seed, n_actions=env_spec.n_actions,
-            action_low=env_spec.action_low, action_high=env_spec.action_high,
-            lengthscale_action=config.lengthscale_action)
-        self._build_expectation_set()
-
-    @classmethod
-    def from_state_arrays(cls, env_spec: EnvSpec, config: EmuqConfig,
-                          arrays) -> "EmuQ":
-        """Agent restored from ``state_arrays`` on its saved feature map,
-        without first drawing a fresh map (the quasi-random scheme
-        imports scipy.stats, most of a second) only to replace it."""
-        agent = cls.__new__(cls)
-        agent._init_learner(env_spec, config)
-        agent.load_state_arrays(arrays)
-        return agent
-
-    def _init_learner(self, env_spec: EnvSpec, config: EmuqConfig) -> None:
-        """Everything but the feature map, at its fresh-agent value."""
         self.spec = env_spec
         self.config = config
         self.model = BayesianLinearModel(config.n_features, config.alpha,
@@ -150,6 +132,16 @@ class EmuQ:
         self.re_range_violations = 0
         self.var_max_seen = 0.0
         self.var_violations = 0
+        if rng is None:
+            return
+        feature_seed = int(rng.integers(2 ** 63))
+        self.fmap = make_joint_map(
+            env_spec.state_dim, config.lengthscale_state,
+            n_features=config.n_features, scheme=QUASI_RANDOM,
+            seed=feature_seed, n_actions=env_spec.n_actions,
+            action_low=env_spec.action_low, action_high=env_spec.action_high,
+            lengthscale_action=config.lengthscale_action)
+        self._build_expectation_set()
 
     # -- feature helpers -------------------------------------------------
 
@@ -187,8 +179,6 @@ class EmuQ:
             if low.shape[0] != 1:
                 raise ValueError("continuous actions need a 1-D action box "
                                  f"(got {low.shape[0]} dimensions)")
-            if n < 1:
-                raise ValueError("n_expectation_samples must be >= 1")
             actions = low + (high - low) * ((np.arange(n) + 0.5) / n)[:, None]
         proj_a = self.fmap.action_projection(actions)
         ca, sa = np.cos(proj_a), np.sin(proj_a)
@@ -401,7 +391,10 @@ class EmuQ:
             head converges once no weight moves by more than SWEEP_TOL.  A
             plain step then installs the point whose move was measured
             (its targets are known), not one step past it, where the map
-            need not contract.
+            need not contract.  The plain phase stays although few heads
+            converge in it, because stopping at the Newton cap instead
+            left most heads of the 40-state chain unconverged and slowed
+            its learning (figures in CHANGES.md).
 
             If values leave the finite range the head falls back to its
             incremental per-step fit (m0, t0) rather than installing
@@ -527,27 +520,40 @@ class EmuQ:
 
     def load_state_arrays(self, arrays) -> None:
         """Restore everything state_arrays saved, exactly as saved, so
-        training continues as if it had never stopped."""
-        freqs = np.array(arrays["frequencies"])
+        training continues as if it had never stopped.  Every array must
+        have the shape and dtype kind that this agent's config and env
+        spec give it; CheckpointError names the first that does not."""
+        spec = self.spec
+        n_features = self.config.n_features
+        action_dim = (spec.n_actions if spec.discrete_actions
+                      else len(spec.action_low))
+        input_dim = spec.state_dim + action_dim
+        n = np.size(arrays["rewards"])
+        shapes = {"S": (n_features, n_features), "m": (n_features, 2),
+                  "t": (n_features, 2),
+                  "frequencies": (input_dim, n_features // 2),
+                  "lengthscales": (input_dim,),
+                  "phi_rows": (n, n_features), "rewards": (n,),
+                  "next_obs": (n, spec.state_dim), "absorbing": (n,)}
+        saved = {name: checked_array(arrays, name, shape,
+                                     "b" if name == "absorbing" else "f")
+                 for name, shape in shapes.items()}
+        freqs = saved["frequencies"]
         freqs.setflags(write=False)
-        rff = RffMap(frequencies=freqs,
-                     lengthscales=np.array(arrays["lengthscales"]),
+        rff = RffMap(frequencies=freqs, lengthscales=saved["lengthscales"],
                      scheme=str(arrays["feature_scheme"]),
                      seed=int(arrays["feature_seed"]))
-        spec = self.spec
         self.fmap = JointRffMap(
-            rff=rff, state_dim=spec.state_dim,
-            action_dim=(spec.n_actions if spec.discrete_actions
-                        else len(spec.action_low)),
+            rff=rff, state_dim=spec.state_dim, action_dim=action_dim,
             action_low=spec.action_low, action_high=spec.action_high,
             n_actions=spec.n_actions)
         self._build_expectation_set()
-        self.model.S = np.array(arrays["S"])
-        self.model.t = np.array(arrays["t"])
-        self.model.m = np.array(arrays["m"])
+        self.model.S = saved["S"]
+        self.model.t = saved["t"]
+        self.model.m = saved["m"]
         self.model.n_observed = int(arrays["n_observed"])
-        self._phi_rows = list(np.array(arrays["phi_rows"]))
-        self._rewards = [float(r) for r in arrays["rewards"]]
-        self._next_obs = list(np.array(arrays["next_obs"]))
-        self._absorbing = [bool(a) for a in arrays["absorbing"]]
+        self._phi_rows = list(saved["phi_rows"])
+        self._rewards = [float(r) for r in saved["rewards"]]
+        self._next_obs = list(saved["next_obs"])
+        self._absorbing = [bool(a) for a in saved["absorbing"]]
         self._r_abs_max = float(arrays["r_abs_max"])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CheckpointError, Transition
+from .core import Transition, checked_array
 
 
 def count_bonus(counts, cell: int) -> float:
@@ -123,14 +123,9 @@ class TabularAgent:
         the dtype kind of its tables (float, or int for counts)."""
         shape = (self.n_states, self.n_actions)
         for name in self.TABLES:
-            table = np.asarray(arrays[name])
             kind = getattr(type(self), name).dtype.kind
-            if table.shape != shape or table.dtype.kind != kind:
-                raise CheckpointError(
-                    f"table {name!r} is {table.dtype} of shape "
-                    f"{table.shape}; this agent needs kind {kind!r} of "
-                    f"shape {shape}")
-            setattr(self, name, np.array(table))
+            setattr(self, name, checked_array(arrays, name, shape, kind,
+                                              noun="table"))
 
 
 class EpsilonGreedyAgent(TabularAgent):

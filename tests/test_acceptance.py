@@ -137,7 +137,7 @@ def taxi_target_stop():
         config = load_config(CONFIG_DIR / config_name)
         latched, post_means = [], []
         for seed in range(20):
-            result = run_single(config, seed)
+            result, _ = run_single(config, seed)
             latched.append(result.latched_at is not None)
             post = [row[2] for row in result.rows if row[3] == 0.0]
             post_means.append(float(np.mean(post)) if post else None)

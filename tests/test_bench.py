@@ -125,9 +125,11 @@ def test_make_agent_rejects_mismatches():
                              "params": {"epsilon": 0.5}})
     with pytest.raises(ConfigError, match="bad explvalues"):
         make_agent(bad, CliffEnv(), rng)
-    # kappa comes from the schedule; scheme, sweep_tol and sweep_max_iters
-    # are fixed in emuq.py
-    for key in ("bogus", "kappa", "scheme", "sweep_tol", "sweep_max_iters"):
+    # kappa comes from the schedule; the scheme, the re-solve's tolerance
+    # and cap, and the three sampling sizes are fixed in emuq.py
+    for key in ("bogus", "kappa", "scheme", "sweep_tol", "sweep_max_iters",
+                "n_action_candidates", "n_expectation_samples",
+                "n_sweep_candidates"):
         bad_emuq = tiny_config(agent={"kind": "emuq", "params": {key: 1}})
         with pytest.raises(ConfigError, match=f"bad emuq.*{key}"):
             make_agent(bad_emuq, MountainCarEnv(), rng)
@@ -153,10 +155,10 @@ def test_every_checked_in_config_builds_env_agent_and_schedule():
 
 def test_run_single_deterministic_in_config_and_seed():
     config = tiny_config()
-    a = run_single(config, 0)
-    b = run_single(config, 0)
+    a, _ = run_single(config, 0)
+    b, _ = run_single(config, 0)
     assert a.rows == b.rows
-    c = run_single(config, 1)
+    c, _ = run_single(config, 1)
     assert c.rows != a.rows
     assert len(a.rows) == 4
     # row layout: episode, steps, return, kappa, reached, first
@@ -167,7 +169,7 @@ def test_run_single_deterministic_in_config_and_seed():
 
 def test_run_single_first_goal_flag_once():
     config = tiny_config(n_episodes=8)
-    result = run_single(config, 0)
+    result, _ = run_single(config, 0)
     firsts = [row[5] for row in result.rows]
     assert sum(firsts) <= 1
     if result.episodes_to_first_goal is not None:
@@ -181,7 +183,7 @@ def test_run_single_target_stop_latches_and_keeps_learning():
         schedule={"variant": "target_stop",
                   "params": {"kappa0": 1.0, "target": -1000.0,
                              "n_eval": 2}})
-    result = run_single(config, 0)
+    result, _ = run_single(config, 0)
     # the absurdly low target latches after the first evaluation round
     assert result.latched_at == 0
     assert [row[3] for row in result.rows] == [1.0, 0.0, 0.0]
@@ -192,7 +194,7 @@ def test_run_single_budget_stop_freezes_learning():
         n_episodes=4,
         schedule={"variant": "budget_stop",
                   "params": {"kappa0": 1.0, "budget": 2}})
-    _, agent = run_single(config, 0, keep_agent=True)
+    _, agent = run_single(config, 0)
     q_after = agent.q.copy()
     counts_after = agent.counts.copy()
     # replay the frozen tail: tables must be exactly what episode 2 saw
@@ -200,7 +202,7 @@ def test_run_single_budget_stop_freezes_learning():
         n_episodes=2,
         schedule={"variant": "budget_stop",
                   "params": {"kappa0": 1.0, "budget": 2}})
-    _, agent_short = run_single(config_short, 0, keep_agent=True)
+    _, agent_short = run_single(config_short, 0)
     npt.assert_array_equal(q_after, agent_short.q)
     npt.assert_array_equal(counts_after, agent_short.counts)
 
@@ -218,7 +220,7 @@ def test_format_float_is_shortest_exact_repr():
 
 def test_csv_roundtrip(tmp_path):
     config = tiny_config()
-    result = run_single(config, 1)
+    result, _ = run_single(config, 1)
     text = run_rows_to_csv(config, result)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
@@ -407,7 +409,7 @@ def test_aggregate_bad_run_csv_exits_2_naming_file(tmp_path, capsys):
 
 def test_checkpoint_roundtrip_tabular(tmp_path):
     config = tiny_config(n_episodes=6)
-    result, agent = run_single(config, 0, keep_agent=True)
+    result, agent = run_single(config, 0)
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
     loaded, env = load_checkpoint(path)
@@ -423,12 +425,10 @@ def test_checkpoint_roundtrip_emuq(tmp_path):
     config = tiny_config(
         env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
         agent={"kind": "emuq",
-               "params": {"n_features": 32, "n_action_candidates": 8,
-                          "n_expectation_samples": 4,
-                          "n_sweep_candidates": 4}},
+               "params": {"n_features": 32}},
         schedule={"variant": "constant", "params": {"kappa0": 0.1}},
         n_episodes=2)
-    result, agent = run_single(config, 0, keep_agent=True)
+    result, agent = run_single(config, 0)
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
     loaded, env = load_checkpoint(path)
@@ -444,7 +444,7 @@ def test_checkpoint_roundtrip_emuq(tmp_path):
 
 def test_checkpoint_corrupt_and_incompatible(tmp_path):
     config = tiny_config()
-    _, agent = run_single(config, 0, keep_agent=True)
+    _, agent = run_single(config, 0)
     good = tmp_path / "good.npz"
     save_checkpoint(agent, good, config)
 
@@ -490,10 +490,53 @@ def test_checkpoint_corrupt_and_incompatible(tmp_path):
                      "--episodes", "1"]) == 2
 
 
+@pytest.fixture(scope="module")
+def emuq_chain_checkpoint(tmp_path_factory):
+    """Arrays of a 2-episode chain EmuQ checkpoint with 16 features."""
+    config = tiny_config(
+        env={"name": "chain", "params": {"n_states": 5, "vector_obs": True}},
+        agent={"kind": "emuq", "params": {"n_features": 16}},
+        n_episodes=2)
+    _, agent = run_single(config, 0)
+    path = tmp_path_factory.mktemp("emuq") / "good.npz"
+    save_checkpoint(agent, path, config)
+    with np.load(path) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("env_params", lambda v: np.asarray(json.dumps({"n_states": 5})),
+     "needs vector observations"),
+    ("agent_params", lambda v: np.asarray(json.dumps({"n_features": 15})),
+     "array 'S' is float64 of shape (16, 16)"),
+    ("S", lambda v: v[:8, :8], "array 'S' is float64 of shape (8, 8)"),
+    ("m", lambda v: v[:8], "array 'm' is float64 of shape (8, 2)"),
+    ("frequencies", lambda v: v[:, :4],
+     "array 'frequencies' is float64 of shape (3, 4)"),
+    ("agent_params",
+     lambda v: np.asarray(json.dumps({"n_features": 16, "alpha": -1})),
+     "bad emuq agent params: alpha"),
+], ids=["index_chain", "n_features_15", "S_8x8", "m_8_rows",
+        "frequencies_4_columns", "negative_alpha"])
+def test_emuq_checkpoint_corrupt_and_incompatible(tmp_path, capsys,
+                                                  emuq_chain_checkpoint,
+                                                  key, edit, message):
+    # Each file was saved from a real run and then had one field or array
+    # changed; none may evaluate, and none may fail as a runtime error.
+    arrays = dict(emuq_chain_checkpoint)
+    arrays[key] = edit(arrays[key])
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad), "--episodes", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_checkpoint_version_1_rejected(tmp_path, capsys):
     # version-1 files held no EmuQ transition store, so they cannot resume
     config = tiny_config()
-    _, agent = run_single(config, 0, keep_agent=True)
+    _, agent = run_single(config, 0)
     good = tmp_path / "good.npz"
     save_checkpoint(agent, good, config)
     with np.load(good) as data:
@@ -511,7 +554,7 @@ def test_checkpoint_version_1_rejected(tmp_path, capsys):
 def taxi_checkpoint(tmp_path, edit):
     """A taxi explvalues checkpoint whose tables went through ``edit``."""
     config = tiny_config(env={"name": "taxi", "params": {}}, n_episodes=2)
-    _, agent = run_single(config, 0, keep_agent=True)
+    _, agent = run_single(config, 0)
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
     with np.load(path) as data:
@@ -623,12 +666,10 @@ def test_emuq_checkpoint_load_does_not_import_scipy_stats(tmp_path):
     config = tiny_config(
         env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
         agent={"kind": "emuq",
-               "params": {"n_features": 32, "n_action_candidates": 8,
-                          "n_expectation_samples": 4,
-                          "n_sweep_candidates": 4}},
+               "params": {"n_features": 32}},
         schedule={"variant": "constant", "params": {"kappa0": 0.1}},
         n_episodes=1)
-    _, agent = run_single(config, 0, keep_agent=True)
+    _, agent = run_single(config, 0)
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
     code = textwrap.dedent("""
@@ -670,9 +711,7 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
         experiment="tiny_emuq",
         env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
         agent={"kind": "emuq",
-               "params": {"n_features": 16, "n_action_candidates": 4,
-                          "n_expectation_samples": 4,
-                          "n_sweep_candidates": 4}},
+               "params": {"n_features": 16}},
         schedule={"variant": "constant", "params": {"kappa0": 0.1}},
         n_episodes=3)
     cfg_path.write_text(json.dumps(emuq))
@@ -682,7 +721,7 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
     config = ExperimentConfig.from_dict(emuq)
     capped = 0
     for seed in range(config.n_seeds):
-        _, agent = run_single(config, seed, keep_agent=True)
+        _, agent = run_single(config, seed)
         capped += sum(not h[f"converged_{k}"]
                       and h[f"iters_{k}"] == SWEEP_MAX_ITERS
                       for h in agent.sweep_history for k in "qu")
@@ -730,6 +769,7 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         "bool n_seeds": ({"n_seeds": True}, "bad run counts"),
         "fractional base_seed": ({"base_seed": 0.5}, "bad run counts"),
         "string base_seed": ({"base_seed": "0"}, "bad run counts"),
+        "negative base_seed": ({"base_seed": -1}, "base_seed must be >= 0"),
         "list env params": (
             {"env": {"name": "chain", "params": ["abc"]}},
             "env params must be an object"),
@@ -781,3 +821,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.npz"),
                  "--episodes", "1"]) == 2
     capsys.readouterr()
+    config = tiny_config()
+    _, agent = run_single(config, 0)
+    good = tmp_path / "good.npz"
+    save_checkpoint(agent, good, config)
+    assert main(["eval", "--checkpoint", str(good), "--episodes", "1",
+                 "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err

@@ -73,8 +73,7 @@ def discrete_spec(n_actions=2):
 
 
 def test_fresh_agent_exploration_reward_is_exact_zero():
-    cfg = EmuqConfig(alpha=0.001, beta=1.0, n_features=64,
-                     n_expectation_samples=8)
+    cfg = EmuqConfig(alpha=0.001, beta=1.0, n_features=64)
     agent = EmuQ(discrete_spec(), cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     assert agent.exploration_reward(np.array([0.3]), rng) == 0.0
@@ -114,15 +113,12 @@ def test_expectation_set_needs_a_1d_box_and_samples():
                     action_high=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="1-D action box"):
         EmuQ(plane, EmuqConfig(n_features=8), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="n_expectation_samples"):
-        EmuQ(box_spec(), EmuqConfig(n_features=8, n_expectation_samples=0),
-             np.random.default_rng(0))
 
 
 def test_act_balances_heads_and_reaches_endpoints():
     # Q(a) = a and U(a) = -a on stub features: exploitation drives to the
     # upper action bound, enough exploration weight flips to the lower.
-    cfg = EmuqConfig(n_features=2, n_action_candidates=20)
+    cfg = EmuqConfig(n_features=2)
     agent = EmuQ(box_spec(), cfg, np.random.default_rng(0))
     agent.fmap = LinearActionMap()
     agent.model = BayesianLinearModel(2, 1.0, 1.0, n_heads=2)
@@ -202,9 +198,7 @@ def test_observe_absorbing_zeroes_bootstrap_and_tracks_reward_scale():
 def mc_setup(run_seed=7, episodes=1, cap=40):
     env = MountainCarEnv(max_episode_steps=cap)
     cfg = EmuqConfig(gamma=0.99, alpha=0.1, beta=1.0, n_features=64,
-                     lengthscale_state=0.3, lengthscale_action=10.0,
-                     n_action_candidates=16, n_expectation_samples=8,
-                     n_sweep_candidates=8)
+                     lengthscale_state=0.3, lengthscale_action=10.0)
     env_rng, agent_rng, _ = seed_streams(0, run_seed)
     agent = EmuQ(env.spec, cfg, agent_rng)
     logs = [run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
@@ -284,9 +278,7 @@ def test_learning_stays_finite_under_weak_prior():
     # projection must keep everything finite anyway.
     env = MountainCarEnv(max_episode_steps=60)
     cfg = EmuqConfig(gamma=0.99, alpha=1e-3, beta=1.0, n_features=64,
-                     lengthscale_state=0.3, lengthscale_action=0.3,
-                     n_action_candidates=16, n_expectation_samples=8,
-                     n_sweep_candidates=8)
+                     lengthscale_state=0.3, lengthscale_action=0.3)
     env_rng, agent_rng, _ = seed_streams(0, 1)
     agent = EmuQ(env.spec, cfg, agent_rng)
     for _ in range(3):
@@ -310,8 +302,7 @@ def test_identical_seeds_learn_identically():
 def test_discrete_agent_on_chain():
     env = ChainEnv(8, vector_obs=True, max_episode_steps=50)
     cfg = EmuqConfig(gamma=0.99, alpha=0.1, beta=1.0, n_features=64,
-                     lengthscale_state=0.1, lengthscale_action=0.6,
-                     n_expectation_samples=8, n_sweep_candidates=8)
+                     lengthscale_state=0.1, lengthscale_action=0.6)
     env_rng, agent_rng, _ = seed_streams(0, 0)
     agent = EmuQ(env.spec, cfg, agent_rng)
     actions = []

@@ -4,6 +4,9 @@ Each config runs 2 seeds, serially, with checkpoints off. Tabular
 configs keep their own episode count; EmuQ configs are trimmed to 40
 episodes on the chain, 6 on mountain car and 8 on pendulum. BLAS runs
 on one thread, so EmuQ results do not depend on the thread count.
+EmuQ bytes follow floating-point rounding, and ``pendulum_emuq`` is the
+most rounding-sensitive config: reordering its arithmetic (building
+feature rows by the angle-sum identity, say) changes both its run CSVs.
 
 The output has one ``<config> <file> <sha256>`` line per result file
 (two run CSVs, aggregate.csv and summary.csv), 108 lines in all. Two
