@@ -21,7 +21,7 @@ from .features import (FourierBasisMap, JointRffMap, RffMap,
                        fourier_basis_embed, kernel_exact,
                        make_fourier_basis, make_joint_map, rff_embed,
                        sample_rff)
-from .schedules import make_schedule, target_check
+from .schedules import make_schedule
 from .tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                       ExplorationValuesAgent, count_bonus, q_update)
 
@@ -36,7 +36,7 @@ __all__ = [
     "RffMap", "JointRffMap", "FourierBasisMap", "sample_rff", "rff_embed",
     "make_joint_map", "make_fourier_basis",
     "fourier_basis_embed", "kernel_exact",
-    "make_schedule", "target_check",
+    "make_schedule",
     "EpsilonGreedyAgent", "AdditiveBonusAgent", "ExplorationValuesAgent",
     "count_bonus", "q_update",
     "__version__",

@@ -60,7 +60,6 @@ class BayesianLinearModel:
         self.S = np.eye(self.n_features) / self.alpha
         self.t = np.zeros((self.n_features, self.n_heads))
         self.m = np.zeros((self.n_features, self.n_heads))
-        self.n_observed = 0
 
     def observe(self, phi, y) -> None:
         """Fold in one observation row for every head.
@@ -78,7 +77,6 @@ class BayesianLinearModel:
         self.S -= (self.beta / denom) * np.outer(u, u)
         self.t += self.beta * np.outer(phi, y)
         self.m = self.S @ self.t
-        self.n_observed += 1
 
     def set_targets(self, t_new) -> None:
         """Install a full replacement running-target matrix; m = S t."""

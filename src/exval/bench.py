@@ -16,13 +16,15 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import (CheckpointError, eval_pure_exploit, run_episode,
-                   seed_streams)
+                   seed_streams, whole_number)
 from .emuq import EmuQ, EmuqConfig
 from .envs import env_names, make_env
 from .schedules import make_schedule
@@ -120,15 +122,11 @@ class ExperimentConfig:
 
 
 def _count(raw: dict, key: str, default=None) -> int:
-    """raw[key] as an int; a bool, a string or a fractional number is a
-    ConfigError, never truncated."""
-    value = raw.get(key, default)
-    whole = (isinstance(value, int) or
-             isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(f"bad run counts: {key} must be a whole number, "
-                          f"got {value!r}")
-    return int(value)
+    """raw[key] as an int; anything but a whole number is a ConfigError."""
+    try:
+        return whole_number(key, raw.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"bad run counts: {exc}") from None
 
 
 def _params(section: dict, name: str) -> dict:
@@ -226,8 +224,7 @@ def run_single(config: ExperimentConfig, seed: int):
 
 def _run_seed(config: ExperimentConfig, seed: int, out: Path,
               save_checkpoints: bool) -> RunResult:
-    """Run one seed and save its checkpoint if asked; both the serial
-    loop and the worker pool of run_experiment run seeds through here."""
+    """Run one seed and save its checkpoint if asked."""
     result, agent = run_single(config, seed)
     if save_checkpoints:
         save_checkpoint(agent, out / f"checkpoint_s{seed:03d}.npz", config)
@@ -273,30 +270,21 @@ def run_experiment(config: ExperimentConfig, out_dir=None, n_seeds=None,
     (out / "config.json").write_text(
         json.dumps(config.to_dict(), indent=2) + "\n")
 
-    results: dict[int, RunResult] = {}
+    # Both maps yield in seed order; pool.map cancels the seeds not yet
+    # started once one raises.
+    run_seed = partial(_run_seed, config, out=out,
+                       save_checkpoints=save_checkpoints)
+    ordered: list[RunResult] = []
     failure = None
-    if workers <= 1:
-        for seed in range(n):
-            try:
-                results[seed] = _run_seed(config, seed, out, save_checkpoints)
-            except Exception as exc:    # flush what we have, then re-raise
-                failure = exc
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(_run_seed, config, seed, out,
-                                         save_checkpoints)
-                       for seed in range(n)}
-            for seed in range(n):
-                try:
-                    results[seed] = futures[seed].result()
-                except Exception as exc:
-                    failure = exc
-                    for other in futures.values():
-                        other.cancel()
-                    break
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        runs = (map if pool is None else pool.map)(run_seed, range(n))
+        try:
+            for result in runs:
+                ordered.append(result)
+        except Exception as exc:
+            failure = exc
 
-    ordered = [results[s] for s in sorted(results)]
     for result in ordered:
         path = out / f"run_s{result.seed:03d}.csv"
         path.write_text(run_rows_to_csv(config, result))

@@ -54,6 +54,16 @@ def checked_array(arrays, name: str, shape: tuple, kind: str,
     return np.array(array)
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; a bool, a string or a fractional number is a
+    ValueError naming ``name``, never truncated."""
+    whole = (isinstance(value, int) or
+             isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Static description of an environment's spaces and episode cap."""

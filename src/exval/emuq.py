@@ -38,7 +38,7 @@ import numpy as np
 
 from .bayes import BayesianLinearModel
 from .core import EnvSpec, Transition, checked_array
-from .features import QUASI_RANDOM, JointRffMap, RffMap, make_joint_map
+from .features import JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
 SYMMETRIZE_EVERY = 1000
@@ -134,11 +134,10 @@ class EmuQ:
         self.var_violations = 0
         if rng is None:
             return
-        feature_seed = int(rng.integers(2 ** 63))
         self.fmap = make_joint_map(
             env_spec.state_dim, config.lengthscale_state,
-            n_features=config.n_features, scheme=QUASI_RANDOM,
-            seed=feature_seed, n_actions=env_spec.n_actions,
+            n_features=config.n_features, seed=int(rng.integers(2 ** 63)),
+            n_actions=env_spec.n_actions,
             action_low=env_spec.action_low, action_high=env_spec.action_high,
             lengthscale_action=config.lengthscale_action)
         self._build_expectation_set()
@@ -301,12 +300,12 @@ class EmuQ:
             boot_u = float(np.clip(boot_u, u_lo, u_hi))
         self.model.observe(phi, [tr.reward + c.gamma * boot_q,
                                  r_e + c.gamma * boot_u])
-        if self.model.n_observed % SYMMETRIZE_EVERY == 0:
-            self.model.symmetrize()
         self._phi_rows.append(phi)
         self._rewards.append(float(tr.reward))
         self._next_obs.append(self._as_state(tr.next_state))
         self._absorbing.append(bool(tr.absorbing))
+        if len(self._phi_rows) % SYMMETRIZE_EVERY == 0:
+            self.model.symmetrize()
         return a_next
 
     def end_episode(self, kappa: float, rng) -> None:
@@ -506,23 +505,20 @@ class EmuQ:
         """Posterior, feature map and transition store for checkpointing."""
         return {
             "S": self.model.S, "m": self.model.m, "t": self.model.t,
-            "n_observed": np.asarray(self.model.n_observed),
             "frequencies": self.fmap.rff.frequencies,
-            "lengthscales": self.fmap.rff.lengthscales,
-            "feature_scheme": np.asarray(self.fmap.rff.scheme),
-            "feature_seed": np.asarray(self.fmap.rff.seed),
             "phi_rows": np.reshape(self._phi_rows, (-1, self.fmap.n_features)),
             "rewards": np.asarray(self._rewards, dtype=float),
             "next_obs": np.reshape(self._next_obs, (-1, self.fmap.state_dim)),
             "absorbing": np.asarray(self._absorbing, dtype=bool),
-            "r_abs_max": np.asarray(self._r_abs_max),
         }
 
     def load_state_arrays(self, arrays) -> None:
         """Restore everything state_arrays saved, exactly as saved, so
         training continues as if it had never stopped.  Every array must
         have the shape and dtype kind that this agent's config and env
-        spec give it; CheckpointError names the first that does not."""
+        spec give it; CheckpointError names the first that does not.
+        The largest reward magnitude is recomputed from the stored
+        rewards, and arrays other than state_arrays' own are ignored."""
         spec = self.spec
         n_features = self.config.n_features
         action_dim = (spec.n_actions if spec.discrete_actions
@@ -532,7 +528,6 @@ class EmuQ:
         shapes = {"S": (n_features, n_features), "m": (n_features, 2),
                   "t": (n_features, 2),
                   "frequencies": (input_dim, n_features // 2),
-                  "lengthscales": (input_dim,),
                   "phi_rows": (n, n_features), "rewards": (n,),
                   "next_obs": (n, spec.state_dim), "absorbing": (n,)}
         saved = {name: checked_array(arrays, name, shape,
@@ -540,20 +535,16 @@ class EmuQ:
                  for name, shape in shapes.items()}
         freqs = saved["frequencies"]
         freqs.setflags(write=False)
-        rff = RffMap(frequencies=freqs, lengthscales=saved["lengthscales"],
-                     scheme=str(arrays["feature_scheme"]),
-                     seed=int(arrays["feature_seed"]))
         self.fmap = JointRffMap(
-            rff=rff, state_dim=spec.state_dim, action_dim=action_dim,
-            action_low=spec.action_low, action_high=spec.action_high,
-            n_actions=spec.n_actions)
+            rff=RffMap(freqs), state_dim=spec.state_dim,
+            action_dim=action_dim, action_low=spec.action_low,
+            action_high=spec.action_high, n_actions=spec.n_actions)
         self._build_expectation_set()
         self.model.S = saved["S"]
         self.model.t = saved["t"]
         self.model.m = saved["m"]
-        self.model.n_observed = int(arrays["n_observed"])
         self._phi_rows = list(saved["phi_rows"])
         self._rewards = [float(r) for r in saved["rewards"]]
         self._next_obs = list(saved["next_obs"])
         self._absorbing = [bool(a) for a in saved["absorbing"]]
-        self._r_abs_max = float(arrays["r_abs_max"])
+        self._r_abs_max = max([1.0] + [abs(r) for r in self._rewards])

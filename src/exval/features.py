@@ -51,9 +51,6 @@ class RffMap:
     """
 
     frequencies: np.ndarray
-    lengthscales: np.ndarray
-    scheme: str
-    seed: int
 
     @property
     def input_dim(self) -> int:
@@ -102,7 +99,7 @@ def sample_rff(lengthscales, n_spectral: int, scheme: str = MONTE_CARLO,
         raise ValueError(f"unknown sampling scheme: {scheme!r}")
     freqs = unit / ls[:, None]
     freqs.setflags(write=False)
-    return RffMap(frequencies=freqs, lengthscales=ls, scheme=scheme, seed=seed)
+    return RffMap(frequencies=freqs)
 
 
 def rff_embed(x, fmap: RffMap) -> np.ndarray:
@@ -173,14 +170,13 @@ class JointRffMap:
 
 
 def make_joint_map(state_dim: int, lengthscale_state, *, n_features: int,
-                   scheme: str = QUASI_RANDOM, seed: int = 0,
-                   action_low=None, action_high=None,
+                   seed: int = 0, action_low=None, action_high=None,
                    n_actions: int | None = None,
                    lengthscale_action=1.0) -> JointRffMap:
     """Build a JointRffMap for a box or discrete action space.
 
     ``n_features`` is the output feature-vector length and must be even;
-    n_features/2 spectral samples are drawn.
+    n_features/2 spectral samples are drawn by the quasi-random scheme.
     """
     if n_features % 2 != 0:
         raise ValueError("n_features must be even (paired cos/sin blocks)")
@@ -195,7 +191,7 @@ def make_joint_map(state_dim: int, lengthscale_state, *, n_features: int,
         np.full(state_dim, float(lengthscale_state)),
         np.full(action_dim, float(lengthscale_action)),
     ])
-    rff = sample_rff(ls, n_features // 2, scheme=scheme, seed=seed)
+    rff = sample_rff(ls, n_features // 2, scheme=QUASI_RANDOM, seed=seed)
     return JointRffMap(rff=rff, state_dim=state_dim, action_dim=action_dim,
                        action_low=low, action_high=high, n_actions=n_actions)
 

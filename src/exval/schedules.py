@@ -11,15 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def target_check(eval_returns, target: float, n_consecutive: int) -> bool:
-    """True iff the most recent n_consecutive returns all exceed target."""
-    if n_consecutive < 1:
-        raise ValueError("n_consecutive must be >= 1")
-    tail = list(eval_returns)[-n_consecutive:]
-    if len(tail) < n_consecutive:
-        return False
-    return all(r > target for r in tail)
+from .core import whole_number
 
 
 class ConstantKappa:
@@ -42,6 +34,8 @@ class DecayKappa:
 
     def __init__(self, c: float):
         self.c = float(c)
+        if self.c < 0:
+            raise ValueError(f"c must be >= 0, got {c!r}")
 
     def kappa_at(self, episode: int) -> float:
         return 1.0 / (1.0 + self.c * episode)
@@ -58,7 +52,7 @@ class BudgetStop:
 
     def __init__(self, kappa0: float, budget: int):
         self.kappa0 = float(kappa0)
-        self.budget = int(budget)
+        self.budget = whole_number("budget", budget)
 
     def kappa_at(self, episode: int) -> float:
         return self.kappa0 if episode < self.budget else 0.0
@@ -73,11 +67,11 @@ class StopResume:
     wants_eval = False
 
     def __init__(self, kappa0: float, stop_at: int, resume_at: int):
-        if resume_at < stop_at:
-            raise ValueError("resume_at must be >= stop_at")
         self.kappa0 = float(kappa0)
-        self.stop_at = int(stop_at)
-        self.resume_at = int(resume_at)
+        self.stop_at = whole_number("stop_at", stop_at)
+        self.resume_at = whole_number("resume_at", resume_at)
+        if self.resume_at < self.stop_at:
+            raise ValueError("resume_at must be >= stop_at")
 
     def _stopped(self, episode: int) -> bool:
         return self.stop_at <= episode < self.resume_at
@@ -95,9 +89,10 @@ class TargetStop:
 
     After every training episode the run loop scores the greedy policy
     with n_eval pure-exploitation episodes and feeds the returns back
-    through ``note_eval``.  Latching is permanent; learning continues
-    (only exploration stops, so the policy keeps refining on clean
-    rewards).
+    through ``note_eval``.  Only the count of consecutive returns
+    strictly above the target is kept, and it carries across calls.
+    Latching is permanent; learning continues (only exploration stops,
+    so the policy keeps refining on clean rewards).
     """
 
     wants_eval = True
@@ -106,10 +101,15 @@ class TargetStop:
                  n_eval: int = 5):
         self.kappa0 = float(kappa0)
         self.target = float(target)
-        self.n_eval = int(n_eval)
-        self.latched = False
+        self.n_eval = whole_number("n_eval", n_eval)
+        if self.n_eval < 1:
+            raise ValueError(f"n_eval must be >= 1, got {n_eval!r}")
+        self.passes = 0
         self.latched_at = None
-        self._history = []
+
+    @property
+    def latched(self) -> bool:
+        return self.latched_at is not None
 
     def kappa_at(self, episode: int) -> float:
         return 0.0 if self.latched else self.kappa0
@@ -120,9 +120,9 @@ class TargetStop:
     def note_eval(self, returns, episode: int) -> None:
         if self.latched:
             return
-        self._history.extend(float(r) for r in np.atleast_1d(returns))
-        if target_check(self._history, self.target, self.n_eval):
-            self.latched = True
+        for r in np.atleast_1d(returns):
+            self.passes = self.passes + 1 if r > self.target else 0
+        if self.passes >= self.n_eval:
             self.latched_at = int(episode)
 
 

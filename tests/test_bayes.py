@@ -55,7 +55,6 @@ def test_fresh_model_state():
     npt.assert_array_equal(model.S, np.eye(5) / 2.0)
     npt.assert_array_equal(model.t, np.zeros((5, 2)))
     npt.assert_array_equal(model.m, np.zeros((5, 2)))
-    assert model.n_observed == 0
 
 
 def test_incremental_matches_exact_posterior():
@@ -71,7 +70,6 @@ def test_incremental_matches_exact_posterior():
         S_ref, m_ref = exact_posterior(Phi, Y, alpha, beta)
         npt.assert_allclose(model.S, S_ref, atol=1e-10)
         npt.assert_allclose(model.m, m_ref, atol=1e-10)
-        assert model.n_observed == 40
 
 
 def test_observe_target_accumulator():

@@ -284,6 +284,27 @@ def test_run_experiment_seed_override_and_no_checkpoints(tmp_path):
     assert not list(out.glob("checkpoint_*.npz"))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_seed_propagates_after_flushing_completed_runs(tmp_path,
+                                                              workers):
+    # Seed 1 cannot write its checkpoint; seed 0's files and the summaries
+    # over it are still written, and the error reaches the caller.
+    config = tiny_config(n_seeds=3)
+    out = tmp_path / "out"
+    (out / "checkpoint_s001.npz").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        run_experiment(config, out_dir=out, workers=workers)
+    one_seed = tmp_path / "one_seed"
+    run_experiment(config, out_dir=one_seed, n_seeds=1,
+                   save_checkpoints=False)
+    for name in ("run_s000.csv", "aggregate.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (one_seed / name).read_bytes()
+    assert not (out / "run_s001.csv").exists()
+    assert not (out / "run_s002.csv").exists()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["n_seeds_completed"] == 1
+
+
 def test_parallel_workers_match_serial_bytes(tmp_path):
     config = tiny_config()
     run_experiment(config, out_dir=tmp_path / "serial",
@@ -531,6 +552,47 @@ def test_emuq_checkpoint_corrupt_and_incompatible(tmp_path, capsys,
         load_checkpoint(bad)
     assert main(["eval", "--checkpoint", str(bad), "--episodes", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+def eval_lines(capsys, path):
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "3"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def older_emuq_arrays(arrays):
+    """The five arrays older EmuQ checkpoints held besides today's."""
+    rewards = arrays["rewards"]
+    return {"n_observed": np.asarray(len(rewards)),
+            "r_abs_max": np.asarray(max([1.0] + list(abs(rewards)))),
+            "lengthscales": np.asarray([0.3, 1.0, 1.0]),
+            "feature_scheme": np.asarray("quasi-random"),
+            "feature_seed": np.asarray(12345)}
+
+
+@pytest.mark.parametrize("extra", [
+    older_emuq_arrays,
+    lambda arrays: {"n_observed": np.asarray([1, 2])},
+    lambda arrays: {"n_observed": np.asarray(-5)},
+    lambda arrays: {"r_abs_max": np.asarray("x")},
+    lambda arrays: {"feature_seed": np.asarray("x")},
+], ids=["older_file", "n_observed_2_elements", "n_observed_negative",
+        "r_abs_max_string", "feature_seed_string"])
+def test_emuq_checkpoint_ignores_arrays_it_does_not_save(
+        tmp_path, capsys, emuq_chain_checkpoint, extra):
+    # Older files also held the store length, the largest reward
+    # magnitude and the feature map's lengthscales, scheme and seed; all
+    # follow from the eight arrays saved now, so none is read, whatever
+    # it holds.
+    arrays = emuq_chain_checkpoint
+    assert set(arrays) == {
+        "version", "kind", "env_name", "env_params", "agent_params",
+        "S", "m", "t", "frequencies", "phi_rows", "rewards", "next_obs",
+        "absorbing"}
+    good = tmp_path / "good.npz"
+    np.savez(good, **arrays)
+    padded = tmp_path / "padded.npz"
+    np.savez(padded, **arrays, **extra(arrays))
+    assert eval_lines(capsys, padded) == eval_lines(capsys, good)
 
 
 def test_checkpoint_version_1_rejected(tmp_path, capsys):
@@ -798,6 +860,39 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
             {"env": {"name": "chain", "params": {"n_states": 5}},
              "agent": {"kind": "emuq", "params": {}}},
             "needs vector observations"),
+        "target_stop n_eval 0": (
+            {"schedule": {"variant": "target_stop",
+                          "params": {"kappa0": 1.0, "n_eval": 0}}},
+            "bad schedule spec: n_eval must be >= 1"),
+        "target_stop n_eval -2": (
+            {"schedule": {"variant": "target_stop",
+                          "params": {"kappa0": 1.0, "n_eval": -2}}},
+            "bad schedule spec: n_eval must be >= 1"),
+        "target_stop n_eval 2.5": (
+            {"schedule": {"variant": "target_stop",
+                          "params": {"kappa0": 1.0, "n_eval": 2.5}}},
+            "bad schedule spec: n_eval must be a whole number"),
+        "decay c -1": (
+            {"schedule": {"variant": "decay", "params": {"c": -1}}},
+            "bad schedule spec: c must be >= 0"),
+        "budget 2.7": (
+            {"schedule": {"variant": "budget_stop",
+                          "params": {"kappa0": 1.0, "budget": 2.7}}},
+            "bad schedule spec: budget must be a whole number"),
+        "budget true": (
+            {"schedule": {"variant": "budget_stop",
+                          "params": {"kappa0": 1.0, "budget": True}}},
+            "bad schedule spec: budget must be a whole number"),
+        "stop_at 1.5": (
+            {"schedule": {"variant": "stop_resume",
+                          "params": {"kappa0": 1.0, "stop_at": 1.5,
+                                     "resume_at": 3}}},
+            "bad schedule spec: stop_at must be a whole number"),
+        "resume_at 3.5": (
+            {"schedule": {"variant": "stop_resume",
+                          "params": {"kappa0": 1.0, "stop_at": 1,
+                                     "resume_at": 3.5}}},
+            "bad schedule spec: resume_at must be a whole number"),
     }
     for case, (over, message) in cases.items():
         cfg_path = tmp_path / "bad.json"

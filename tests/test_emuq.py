@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from exval import emuq
 from exval.bayes import BayesianLinearModel, exact_posterior
 from exval.bench import load_config, make_agent
 from exval.core import EnvSpec, Transition, run_episode, seed_streams
@@ -195,6 +196,43 @@ def test_observe_absorbing_zeroes_bootstrap_and_tracks_reward_scale():
     npt.assert_array_equal(agent.model.t[:, 0], -3.0 * phi)
 
 
+def test_reward_scale_survives_save_and_load(tmp_path):
+    # The largest reward magnitude is not saved; loading recomputes it
+    # from the stored rewards.
+    agent = make_clip_agent(gamma=0.5)
+    for reward, absorbing in [(0.5, False), (-3.0, True), (2.0, True)]:
+        agent.observe(Transition(state=np.array([0.0]), action=1,
+                                 reward=reward, next_state=np.array([0.0]),
+                                 absorbing=absorbing),
+                      1.0, np.random.default_rng(6))
+    path = tmp_path / "arrays.npz"
+    np.savez(path, **agent.state_arrays())
+    loaded = EmuQ(discrete_spec(), agent.config, None)
+    with np.load(path) as data:
+        loaded.load_state_arrays(data)
+    assert agent._r_abs_max == loaded._r_abs_max == 3.0
+    assert loaded._boot_bounds() == agent._boot_bounds()
+
+
+def test_covariance_symmetrized_at_store_length_multiples(monkeypatch):
+    # The count of rank-1 updates is the store length, which a checkpoint
+    # carries, so a loaded agent keeps the same re-symmetrization steps.
+    monkeypatch.setattr(emuq, "SYMMETRIZE_EVERY", 3)
+    calls = []
+    agent = make_clip_agent(gamma=0.5)
+    tr = Transition(state=np.array([0.0]), action=0, reward=0.0,
+                    next_state=np.array([0.0]), absorbing=True)
+    for _ in range(4):
+        agent.observe(tr, 1.0, np.random.default_rng(0))
+    loaded = EmuQ(discrete_spec(), agent.config, None)
+    loaded.load_state_arrays(agent.state_arrays())
+    monkeypatch.setattr(loaded.model, "symmetrize",
+                        lambda: calls.append(len(loaded._phi_rows)))
+    for _ in range(5):
+        loaded.observe(tr, 1.0, np.random.default_rng(0))
+    assert calls == [6, 9]
+
+
 def mc_setup(run_seed=7, episodes=1, cap=40):
     env = MountainCarEnv(max_episode_steps=cap)
     cfg = EmuqConfig(gamma=0.99, alpha=0.1, beta=1.0, n_features=64,
@@ -212,7 +250,6 @@ def test_observe_stores_transition_rows():
     assert len(agent._phi_rows) == n
     assert len(agent._rewards) == len(agent._next_obs) == n
     assert len(agent._absorbing) == n
-    assert agent.model.n_observed == n
     assert agent.re_count >= n
 
 

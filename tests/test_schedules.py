@@ -3,22 +3,55 @@
 import pytest
 
 from exval.schedules import (BudgetStop, ConstantKappa, DecayKappa,
-                             StopResume, TargetStop, make_schedule,
-                             target_check)
+                             StopResume, TargetStop, make_schedule)
 
 
-def test_target_check_strictly_greater():
-    assert target_check([0.2, 0.2, 0.2], 0.1, 3)
-    assert not target_check([0.2, 0.1, 0.2], 0.1, 3)   # equal is not enough
-    assert not target_check([0.0, 0.2, 0.2], 0.1, 3)
-    assert target_check([0.0, 0.2, 0.2], 0.1, 2)       # only the tail counts
+def latches(returns, target, n_eval):
+    """Whether one note_eval of ``returns`` latches a fresh TargetStop."""
+    sched = TargetStop(1.0, target=target, n_eval=n_eval)
+    sched.note_eval(returns, episode=0)
+    return sched.latched
 
 
-def test_target_check_short_history_and_validation():
-    assert not target_check([], 0.1, 1)
-    assert not target_check([5.0, 5.0], 0.1, 3)
-    with pytest.raises(ValueError):
-        target_check([1.0], 0.1, 0)
+def test_target_stop_strictly_greater_and_tail_only():
+    assert latches([0.2, 0.2, 0.2], 0.1, 3)
+    assert not latches([0.2, 0.1, 0.2], 0.1, 3)   # equal is not enough
+    assert not latches([0.0, 0.2, 0.2], 0.1, 3)
+    assert latches([0.0, 0.2, 0.2], 0.1, 2)       # only the tail counts
+
+
+def test_target_stop_short_history_and_validation():
+    assert not latches([], 0.1, 1)
+    assert not latches([5.0, 5.0], 0.1, 3)
+    for n_eval in (0, -2):
+        with pytest.raises(ValueError, match="n_eval must be >= 1"):
+            TargetStop(1.0, n_eval=n_eval)
+    with pytest.raises(ValueError, match="n_eval must be a whole number"):
+        TargetStop(1.0, n_eval=2.5)
+
+
+def test_target_stop_pass_count_carries_across_calls():
+    sched = TargetStop(1.0, target=0.0, n_eval=4)
+    sched.note_eval([-1.0, 1.0], episode=0)
+    assert sched.passes == 1
+    sched.note_eval([1.0, 1.0], episode=1)
+    assert sched.passes == 3 and not sched.latched
+    sched.note_eval([1.0], episode=2)
+    assert sched.passes == 4 and sched.latched_at == 2
+
+
+def test_schedule_params_checked_when_built():
+    with pytest.raises(ValueError, match="c must be >= 0"):
+        DecayKappa(-1.0)
+    assert DecayKappa(0.0).kappa_at(10) == 1.0
+    for bad in (2.7, True, "3"):
+        with pytest.raises(ValueError, match="budget must be a whole"):
+            BudgetStop(1.0, budget=bad)
+    assert BudgetStop(1.0, budget=3.0).budget == 3
+    with pytest.raises(ValueError, match="stop_at must be a whole"):
+        StopResume(1.0, stop_at=1.5, resume_at=4)
+    with pytest.raises(ValueError, match="resume_at must be a whole"):
+        StopResume(1.0, stop_at=1, resume_at=4.5)
 
 
 def test_constant_schedule():
@@ -69,7 +102,7 @@ def test_target_stop_latches_permanently():
     assert sched.kappa_at(0) == 1.0
     sched.note_eval([0.0, 0.0, 0.0], episode=0)
     assert not sched.latched
-    # history accumulates across calls; three in a row above target latch
+    # the pass count carries across calls; three in a row above target latch
     sched.note_eval([0.5, 0.5], episode=1)
     assert not sched.latched
     sched.note_eval([0.5], episode=2)
