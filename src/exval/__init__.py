@@ -15,12 +15,10 @@ experiment harness with a CLI (``exval-bench``).
 from .bayes import BayesianLinearModel, exact_posterior
 from .core import (EnvSpec, EpisodeLog, Transition, eval_pure_exploit,
                    run_episode, seed_streams)
-from .emuq import EmuQ, EmuqConfig, v_max
+from .emuq import EmuQ, EmuqConfig
 from .envs import make_env
-from .features import (FourierBasisMap, JointRffMap, RffMap,
-                       fourier_basis_embed, kernel_exact,
-                       make_fourier_basis, make_joint_map, rff_embed,
-                       sample_rff)
+from .features import (JointRffMap, RffMap, kernel_exact, make_joint_map,
+                       rff_embed, sample_rff)
 from .schedules import make_schedule
 from .tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                       ExplorationValuesAgent, count_bonus, q_update)
@@ -31,11 +29,10 @@ __all__ = [
     "BayesianLinearModel", "exact_posterior",
     "EnvSpec", "EpisodeLog", "Transition", "run_episode",
     "eval_pure_exploit", "seed_streams",
-    "EmuQ", "EmuqConfig", "v_max",
+    "EmuQ", "EmuqConfig",
     "make_env",
-    "RffMap", "JointRffMap", "FourierBasisMap", "sample_rff", "rff_embed",
-    "make_joint_map", "make_fourier_basis",
-    "fourier_basis_embed", "kernel_exact",
+    "RffMap", "JointRffMap", "sample_rff", "rff_embed", "make_joint_map",
+    "kernel_exact",
     "make_schedule",
     "EpsilonGreedyAgent", "AdditiveBonusAgent", "ExplorationValuesAgent",
     "count_bonus", "q_update",

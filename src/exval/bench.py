@@ -257,14 +257,14 @@ def resolve_out_dir(config: ExperimentConfig, out_flag=None) -> Path:
     return Path(root) / config.experiment
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, n_seeds=None,
-                   workers: int = 1, save_checkpoints: bool = True):
-    """Run all seeds, write per-run CSVs plus aggregate and summary files.
+def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
+                   save_checkpoints: bool = True):
+    """Run seeds 0..config.n_seeds-1, write per-run CSVs plus aggregate
+    and summary files.
 
     Returns the list of RunResults in seed order.  A failure in any run
     still flushes the completed runs' files before propagating.
     """
-    n = config.n_seeds if n_seeds is None else int(n_seeds)
     out = resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -278,7 +278,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, n_seeds=None,
     failure = None
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        runs = (map if pool is None else pool.map)(run_seed, range(n))
+        runs = (map if pool is None else pool.map)(run_seed,
+                                                   range(config.n_seeds))
         try:
             for result in runs:
                 ordered.append(result)

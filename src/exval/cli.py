@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -54,13 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.seeds is not None and args.seeds < 1:
-        raise ConfigError("--seeds must be >= 1")
+    if args.seeds is not None:
+        if args.seeds < 1:
+            raise ConfigError("--seeds must be >= 1")
+        config = dataclasses.replace(config, n_seeds=args.seeds)
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     out = resolve_out_dir(config, args.out)
-    results = run_experiment(config, out_dir=out, n_seeds=args.seeds,
-                             workers=args.workers,
+    results = run_experiment(config, out_dir=out, workers=args.workers,
                              save_checkpoints=not args.no_checkpoints)
     n_goal = sum(1 for r in results if r.episodes_to_first_goal is not None)
     resolves = sum(r.agent_stats.get("resolves", 0) for r in results)

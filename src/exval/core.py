@@ -32,6 +32,7 @@ evaluations never perturb training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,6 +65,15 @@ def whole_number(name: str, value) -> int:
     return int(value)
 
 
+def real_number(name: str, value) -> float:
+    """``value`` as a float; a bool, a string, NaN or an infinity is a
+    ValueError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Static description of an environment's spaces and episode cap."""
@@ -78,6 +88,13 @@ class EnvSpec:
     @property
     def discrete_actions(self) -> bool:
         return self.n_actions is not None
+
+    @property
+    def action_dim(self) -> int:
+        """Width of the action input: the one-hot length for discrete
+        actions, the box's dimension otherwise."""
+        return (self.n_actions if self.discrete_actions
+                else len(self.action_low))
 
 
 class StepOutcome(NamedTuple):

@@ -37,7 +37,8 @@ from typing import ClassVar
 import numpy as np
 
 from .bayes import BayesianLinearModel
-from .core import EnvSpec, Transition, checked_array
+from .core import (EnvSpec, Transition, checked_array, real_number,
+                   whole_number)
 from .features import JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
@@ -68,19 +69,6 @@ def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
     return Cs @ Ac + Ss @ As
 
 
-def v_max(alpha: float, beta: float) -> float:
-    """Supremum of the predictive variance beta^{-1} phi^T S phi over
-    unit-norm features.
-
-    The posterior covariance's eigenvalues never exceed 1/alpha, so for
-    unit-norm phi the epistemic term phi^T S phi is at most 1/alpha,
-    attained everywhere on a fresh posterior.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    return 1.0 / (alpha * beta)
-
-
 @dataclass
 class EmuqConfig:
     gamma: float = 0.99
@@ -94,9 +82,11 @@ class EmuqConfig:
     n_expectation_samples: ClassVar[int] = 64   # K_e, fixed variance set
     n_sweep_candidates: ClassVar[int] = 20      # policy candidates in sweeps
 
-    @property
-    def v_max(self) -> float:
-        return v_max(self.alpha, self.beta)
+    def __post_init__(self):
+        for name in ("gamma", "alpha", "beta", "lengthscale_state",
+                     "lengthscale_action"):
+            setattr(self, name, real_number(name, getattr(self, name)))
+        self.n_features = whole_number("n_features", self.n_features)
 
 
 class EmuQ:
@@ -117,6 +107,10 @@ class EmuQ:
         self.config = config
         self.model = BayesianLinearModel(config.n_features, config.alpha,
                                          config.beta, n_heads=2)
+        # Supremum of the predictive variance beta^{-1} phi^T S phi over
+        # unit-norm features, reached everywhere on a fresh posterior
+        # (S's eigenvalues never exceed 1/alpha); r_e lies in [-V_max, 0].
+        self.v_max = 1.0 / (config.alpha * config.beta)
         self._phi_rows: list[np.ndarray] = []
         self._rewards: list[float] = []
         self._next_obs: list[np.ndarray] = []
@@ -135,18 +129,11 @@ class EmuQ:
         if rng is None:
             return
         self.fmap = make_joint_map(
-            env_spec.state_dim, config.lengthscale_state,
-            n_features=config.n_features, seed=int(rng.integers(2 ** 63)),
-            n_actions=env_spec.n_actions,
-            action_low=env_spec.action_low, action_high=env_spec.action_high,
-            lengthscale_action=config.lengthscale_action)
+            env_spec, config.lengthscale_state, config.lengthscale_action,
+            n_features=config.n_features, seed=int(rng.integers(2 ** 63)))
         self._build_expectation_set()
 
     # -- feature helpers -------------------------------------------------
-
-    @property
-    def v_max(self) -> float:
-        return self.config.v_max
 
     def _as_state(self, obs) -> np.ndarray:
         return np.atleast_1d(np.asarray(obs, dtype=float))
@@ -491,9 +478,11 @@ class EmuQ:
         capped = sum(not h[f"converged_{head}"]
                      and h[f"iters_{head}"] == SWEEP_MAX_ITERS
                      for h in self.sweep_history for head in ("q", "u"))
+        seen = self.re_count > 0
         return {
-            "re_count": self.re_count, "re_min": self.re_min,
-            "re_max": self.re_max,
+            "re_count": self.re_count,
+            "re_min": self.re_min if seen else None,
+            "re_max": self.re_max if seen else None,
             "re_range_violations": self.re_range_violations,
             "var_max_seen": self.var_max_seen,
             "var_violations": self.var_violations,
@@ -521,13 +510,11 @@ class EmuQ:
         rewards, and arrays other than state_arrays' own are ignored."""
         spec = self.spec
         n_features = self.config.n_features
-        action_dim = (spec.n_actions if spec.discrete_actions
-                      else len(spec.action_low))
-        input_dim = spec.state_dim + action_dim
         n = np.size(arrays["rewards"])
         shapes = {"S": (n_features, n_features), "m": (n_features, 2),
                   "t": (n_features, 2),
-                  "frequencies": (input_dim, n_features // 2),
+                  "frequencies": (spec.state_dim + spec.action_dim,
+                                  n_features // 2),
                   "phi_rows": (n, n_features), "rewards": (n,),
                   "next_obs": (n, spec.state_dim), "absorbing": (n,)}
         saved = {name: checked_array(arrays, name, shape,
@@ -535,10 +522,7 @@ class EmuQ:
                  for name, shape in shapes.items()}
         freqs = saved["frequencies"]
         freqs.setflags(write=False)
-        self.fmap = JointRffMap(
-            rff=RffMap(freqs), state_dim=spec.state_dim,
-            action_dim=action_dim, action_low=spec.action_low,
-            action_high=spec.action_high, n_actions=spec.n_actions)
+        self.fmap = JointRffMap.for_spec(spec, RffMap(freqs))
         self._build_expectation_set()
         self.model.S = saved["S"]
         self.model.t = saved["t"]

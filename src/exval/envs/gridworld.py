@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import EnvSpec, StepOutcome
+from ..core import EnvSpec, StepOutcome, real_number
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 _MOVES = {UP: (-1, 0), RIGHT: (0, 1), DOWN: (1, 0), LEFT: (0, -1)}
@@ -24,12 +24,12 @@ class CliffEnv:
     def __init__(self, height: int = 4, width: int = 12,
                  slip_prob: float = 0.01, reward_scale: float = 1.0,
                  max_episode_steps: int = 500):
-        if not 0.0 <= slip_prob <= 1.0:
+        self.slip_prob = real_number("slip_prob", slip_prob)
+        if not 0.0 <= self.slip_prob <= 1.0:
             raise ValueError("slip_prob must lie in [0, 1]")
         self.height = int(height)
         self.width = int(width)
-        self.slip_prob = float(slip_prob)
-        self.reward_scale = float(reward_scale)
+        self.reward_scale = real_number("reward_scale", reward_scale)
         self.start = (self.height - 1, 0)
         self.goal = (self.height - 1, self.width - 1)
         self.cliff = {(self.height - 1, c) for c in range(1, self.width - 1)}

@@ -1,15 +1,10 @@
-"""Feature embeddings for linear value models.
+"""Random Fourier features for linear value models.
 
-Two families are provided:
-
-* Random Fourier features: a randomized cos/sin embedding whose inner
-  products approximate an anisotropic RBF kernel.  Frequencies are drawn
-  from the kernel's spectral density, either by Monte-Carlo sampling or
-  from a scrambled Halton sequence pushed through the inverse normal CDF
-  (lower approximation error at equal feature count).
-* Fourier basis features: the deterministic cos(pi * s^T C) value-function
-  basis of order n.  Not a kernel approximation; kept as a comparison
-  baseline.  Feature count grows as (n+1)^d.
+A randomized cos/sin embedding whose inner products approximate an
+anisotropic RBF kernel.  Frequencies are drawn from the kernel's
+spectral density, either by Monte-Carlo sampling or from a scrambled
+Halton sequence pushed through the inverse normal CDF (lower
+approximation error at equal feature count).
 
 All embeddings are pure functions of their inputs and the (immutable)
 feature map, so maps can be shared freely.
@@ -17,7 +12,6 @@ feature map, so maps can be shared freely.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +124,18 @@ class JointRffMap:
 
     rff: RffMap
     state_dim: int
-    action_dim: int
     action_low: np.ndarray | None = None    # None for one-hot discrete
     action_high: np.ndarray | None = None
     n_actions: int | None = None            # set for discrete actions
+
+    @classmethod
+    def for_spec(cls, spec, rff: RffMap) -> "JointRffMap":
+        """The map of ``rff``'s frequencies, which have spec.state_dim +
+        spec.action_dim input rows, over an EnvSpec's (state, action)
+        inputs."""
+        return cls(rff=rff, state_dim=spec.state_dim,
+                   action_low=spec.action_low, action_high=spec.action_high,
+                   n_actions=spec.n_actions)
 
     @property
     def n_features(self) -> int:
@@ -169,65 +171,18 @@ class JointRffMap:
         return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) * scale
 
 
-def make_joint_map(state_dim: int, lengthscale_state, *, n_features: int,
-                   seed: int = 0, action_low=None, action_high=None,
-                   n_actions: int | None = None,
-                   lengthscale_action=1.0) -> JointRffMap:
-    """Build a JointRffMap for a box or discrete action space.
+def make_joint_map(spec, lengthscale_state, lengthscale_action=1.0, *,
+                   n_features: int, seed: int = 0) -> JointRffMap:
+    """Sample a JointRffMap for an EnvSpec's state and action spaces.
 
     ``n_features`` is the output feature-vector length and must be even;
     n_features/2 spectral samples are drawn by the quasi-random scheme.
     """
     if n_features % 2 != 0:
         raise ValueError("n_features must be even (paired cos/sin blocks)")
-    if n_actions is not None:
-        action_dim = n_actions
-        low = high = None
-    else:
-        low = np.atleast_1d(np.asarray(action_low, dtype=float))
-        high = np.atleast_1d(np.asarray(action_high, dtype=float))
-        action_dim = low.shape[0]
     ls = np.concatenate([
-        np.full(state_dim, float(lengthscale_state)),
-        np.full(action_dim, float(lengthscale_action)),
+        np.full(spec.state_dim, float(lengthscale_state)),
+        np.full(spec.action_dim, float(lengthscale_action)),
     ])
     rff = sample_rff(ls, n_features // 2, scheme=QUASI_RANDOM, seed=seed)
-    return JointRffMap(rff=rff, state_dim=state_dim, action_dim=action_dim,
-                       action_low=low, action_high=high, n_actions=n_actions)
-
-
-@dataclass(frozen=True)
-class FourierBasisMap:
-    """Order-n Fourier value-function basis on [0, 1]^d.
-
-    Coefficients are the full Cartesian product {0..n}^d, so the feature
-    count is (n+1)^d.
-    """
-
-    order: int
-    input_dim: int
-    coefficients: np.ndarray    # (d, (n+1)^d)
-
-    @property
-    def n_features(self) -> int:
-        return self.coefficients.shape[1]
-
-
-def make_fourier_basis(order: int, input_dim: int) -> FourierBasisMap:
-    if order < 0 or input_dim < 1:
-        raise ValueError("order must be >= 0 and input_dim >= 1")
-    combos = np.array(
-        list(itertools.product(range(order + 1), repeat=input_dim)),
-        dtype=float).T
-    combos.setflags(write=False)
-    return FourierBasisMap(order=order, input_dim=input_dim,
-                           coefficients=combos)
-
-
-def fourier_basis_embed(s, fmap: FourierBasisMap) -> np.ndarray:
-    """cos(pi * s^T C) over all coefficient columns; s in [0, 1]^d."""
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1] != fmap.input_dim:
-        raise ValueError(
-            f"input dim {s.shape[-1]} != map dim {fmap.input_dim}")
-    return np.cos(np.pi * (s @ fmap.coefficients))
+    return JointRffMap.for_spec(spec, rff)

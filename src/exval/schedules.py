@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import whole_number
+from .core import real_number, whole_number
 
 
 class ConstantKappa:
     wants_eval = False
 
     def __init__(self, kappa0: float):
-        self.kappa0 = float(kappa0)
+        self.kappa0 = real_number("kappa0", kappa0)
 
     def kappa_at(self, episode: int) -> float:
         return self.kappa0
@@ -33,7 +33,7 @@ class DecayKappa:
     wants_eval = False
 
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = real_number("c", c)
         if self.c < 0:
             raise ValueError(f"c must be >= 0, got {c!r}")
 
@@ -51,7 +51,7 @@ class BudgetStop:
     wants_eval = False
 
     def __init__(self, kappa0: float, budget: int):
-        self.kappa0 = float(kappa0)
+        self.kappa0 = real_number("kappa0", kappa0)
         self.budget = whole_number("budget", budget)
 
     def kappa_at(self, episode: int) -> float:
@@ -67,7 +67,7 @@ class StopResume:
     wants_eval = False
 
     def __init__(self, kappa0: float, stop_at: int, resume_at: int):
-        self.kappa0 = float(kappa0)
+        self.kappa0 = real_number("kappa0", kappa0)
         self.stop_at = whole_number("stop_at", stop_at)
         self.resume_at = whole_number("resume_at", resume_at)
         if self.resume_at < self.stop_at:
@@ -99,8 +99,8 @@ class TargetStop:
 
     def __init__(self, kappa0: float, target: float = 0.1,
                  n_eval: int = 5):
-        self.kappa0 = float(kappa0)
-        self.target = float(target)
+        self.kappa0 = real_number("kappa0", kappa0)
+        self.target = real_number("target", target)
         self.n_eval = whole_number("n_eval", n_eval)
         if self.n_eval < 1:
             raise ValueError(f"n_eval must be >= 1, got {n_eval!r}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Transition, checked_array
+from .core import Transition, checked_array, real_number
 
 
 def count_bonus(counts, cell: int) -> float:
@@ -90,8 +90,8 @@ class TabularAgent:
                  gamma: float = 0.99):
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
-        self.lr = float(lr)
-        self.gamma = float(gamma)
+        self.lr = real_number("lr", lr)
+        self.gamma = real_number("gamma", gamma)
         for name in self.TABLES:
             setattr(self, name, np.zeros((self.n_states, self.n_actions)))
 
@@ -135,7 +135,7 @@ class EpsilonGreedyAgent(TabularAgent):
     def __init__(self, n_states: int, n_actions: int, epsilon: float = 0.1,
                  lr: float = 0.1, gamma: float = 0.99):
         super().__init__(n_states, n_actions, lr, gamma)
-        self.epsilon = float(epsilon)
+        self.epsilon = real_number("epsilon", epsilon)
 
     def act(self, obs: int, kappa: float, rng) -> int:
         if rng.random() < self.epsilon:
@@ -164,7 +164,7 @@ class AdditiveBonusAgent(TabularAgent):
     def __init__(self, n_states: int, n_actions: int, xi: float = 1.0,
                  lr: float = 0.1, gamma: float = 0.99):
         super().__init__(n_states, n_actions, lr, gamma)
-        self.xi = float(xi)
+        self.xi = real_number("xi", xi)
 
     def act(self, obs: int, kappa: float, rng) -> int:
         n = self.n_actions

@@ -6,6 +6,7 @@ discovery runs) are computed once in module fixtures; the invariant
 audit reuses the exact runs the behavioral guarantees were scored on.
 """
 
+import dataclasses
 import statistics
 from pathlib import Path
 from time import perf_counter
@@ -320,12 +321,12 @@ def test_a10_config_rerun_bit_identical(tmp_path):
     cases = [("cliff_explvalues_budget30.json", 3),
              ("chain_emuq_scaling_n10.json", 2)]
     for name, n_seeds in cases:
-        config = load_config(CONFIG_DIR / name)
+        config = dataclasses.replace(load_config(CONFIG_DIR / name),
+                                     n_seeds=n_seeds)
         out_a = tmp_path / (config.experiment + "_first")
         out_b = tmp_path / (config.experiment + "_again")
-        run_experiment(config, out_dir=out_a, n_seeds=n_seeds,
-                       save_checkpoints=False)
-        run_experiment(config, out_dir=out_b, n_seeds=n_seeds, workers=2,
+        run_experiment(config, out_dir=out_a, save_checkpoints=False)
+        run_experiment(config, out_dir=out_b, workers=2,
                        save_checkpoints=False)
         names_a = sorted(p.name for p in out_a.glob("*.csv"))
         assert names_a == sorted(p.name for p in out_b.glob("*.csv"))

@@ -10,7 +10,6 @@ import numpy.testing as npt
 import pytest
 
 from exval.bayes import BayesianLinearModel, exact_posterior
-from exval.emuq import v_max
 
 
 def ridge_oracle(Phi, y, alpha, beta):
@@ -103,8 +102,8 @@ def test_prior_variance_is_fresh_unit_norm_prediction():
     model = BayesianLinearModel(9, alpha=0.1, beta=2.0)
     phi = np.zeros(9)
     phi[2] = 1.0    # unit norm
-    assert phi @ model.S @ phi / model.beta == pytest.approx(v_max(0.1, 2.0))
-    assert v_max(0.1, 2.0) == 5.0
+    # V_max = 1 / (alpha beta)
+    assert phi @ model.S @ phi / model.beta == pytest.approx(1 / (0.1 * 2.0))
 
 
 def test_variance_contracts_with_repeated_observation():

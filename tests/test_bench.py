@@ -274,8 +274,8 @@ def test_run_experiment_writes_everything(tmp_path):
 
 
 def test_run_experiment_seed_override_and_no_checkpoints(tmp_path):
-    config = tiny_config()
-    results = run_experiment(config, out_dir=tmp_path / "out", n_seeds=1,
+    config = dataclasses.replace(tiny_config(), n_seeds=1)
+    results = run_experiment(config, out_dir=tmp_path / "out",
                              save_checkpoints=False)
     assert len(results) == 1
     out = tmp_path / "out"
@@ -295,7 +295,7 @@ def test_failed_seed_propagates_after_flushing_completed_runs(tmp_path,
     with pytest.raises(IsADirectoryError):
         run_experiment(config, out_dir=out, workers=workers)
     one_seed = tmp_path / "one_seed"
-    run_experiment(config, out_dir=one_seed, n_seeds=1,
+    run_experiment(dataclasses.replace(config, n_seeds=1), out_dir=one_seed,
                    save_checkpoints=False)
     for name in ("run_s000.csv", "aggregate.csv", "summary.csv"):
         assert (out / name).read_bytes() == (one_seed / name).read_bytes()
@@ -797,15 +797,43 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
 
 
 def test_cli_seed_override(tmp_path, capsys):
-    cfg_path = tmp_path / "tiny.json"
-    cfg_path.write_text(json.dumps(tiny_dict()))
+    # config.json records the seed count that ran, so aggregating the
+    # directory again rewrites the same summaries
+    config_path = CONFIG_DIR / "cliff_explvalues_budget30.json"
+    assert load_config(config_path).n_seeds == 20
     out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg_path), "--out", str(out),
+    code = main(["run", "--config", str(config_path), "--out", str(out),
                  "--seeds", "1", "--no-checkpoints"])
     assert code == 0
     capsys.readouterr()
-    assert (out / "run_s000.csv").exists()
-    assert not (out / "run_s001.csv").exists()
+    assert json.loads((out / "config.json").read_text())["n_seeds"] == 1
+    assert sorted(p.name for p in out.glob("run_s*.csv")) == ["run_s000.csv"]
+    written = {name: (out / name).read_bytes()
+               for name in ("aggregate.csv", "summary.csv")}
+    assert main(["aggregate", "--in", str(out)]) == 0
+    capsys.readouterr()
+    for name, data in written.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_emuq_meta_without_exploration_rewards_is_valid_json(tmp_path):
+    # every episode frozen: no r_e is emitted, so its range is null
+    config = tiny_config(
+        env={"name": "mountaincar", "params": {"max_episode_steps": 5}},
+        agent={"kind": "emuq", "params": {"n_features": 16}},
+        schedule={"variant": "budget_stop",
+                  "params": {"kappa0": 1.0, "budget": 0}},
+        n_episodes=2, n_seeds=1)
+    run_experiment(config, out_dir=tmp_path, save_checkpoints=False)
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    meta = json.loads((tmp_path / "meta.json").read_text(),
+                      parse_constant=reject)
+    stats = meta["agent_stats"]["0"]
+    assert stats["re_count"] == 0
+    assert stats["re_min"] is None and stats["re_max"] is None
 
 
 def test_cli_eval_checkpoint(tmp_path, capsys):
@@ -848,6 +876,22 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
             {"env": emuq_car,
              "agent": {"kind": "emuq", "params": {"alpha": 0}}},
             "bad emuq agent params: alpha"),
+        "emuq bool gamma": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq", "params": {"gamma": True}}},
+            "bad emuq agent params: gamma must be a finite number"),
+        "explvalues bool lr": (
+            {"agent": {"kind": "explvalues", "params": {"lr": True}}},
+            "bad explvalues agent params: lr must be a finite number"),
+        "explvalues string gamma": (
+            {"agent": {"kind": "explvalues", "params": {"gamma": "0.99"}}},
+            "bad explvalues agent params: gamma must be a finite number"),
+        "bool kappa0": (
+            {"schedule": {"variant": "constant", "params": {"kappa0": True}}},
+            "bad schedule spec: kappa0 must be a finite number"),
+        "cliff NaN reward_scale": (
+            {"env": {"name": "cliff", "params": {"reward_scale": np.nan}}},
+            "bad env params: reward_scale must be a finite number"),
         "emuq odd n_features": (
             {"env": emuq_car,
              "agent": {"kind": "emuq", "params": {"n_features": 33}}},

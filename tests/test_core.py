@@ -69,9 +69,11 @@ def test_env_spec_action_validation():
     # the action kind follows from whether a discrete count is given
     spec = EnvSpec(state_dim=1, max_episode_steps=10, n_actions=3)
     assert spec.discrete_actions
+    assert spec.action_dim == 3          # one-hot width
     box = EnvSpec(state_dim=2, max_episode_steps=10,
                   action_low=np.array([-1.0]), action_high=np.array([1.0]))
     assert not box.discrete_actions
+    assert box.action_dim == 1
 
 
 def test_seed_streams_reproducible_and_distinct():

@@ -17,31 +17,29 @@ from exval.bayes import BayesianLinearModel, exact_posterior
 from exval.bench import load_config, make_agent
 from exval.core import EnvSpec, Transition, run_episode, seed_streams
 from exval.emuq import (NEWTON_STEPS, SWEEP_TOL, EmuQ, EmuqConfig,
-                        pair_value_matrix, v_max)
+                        pair_value_matrix)
 from exval.envs import ChainEnv, MountainCarEnv, make_env
 from exval.features import make_joint_map, rff_embed
 
 
 def test_v_max_forms():
-    assert v_max(0.1, 1.0) == 10.0
-    assert v_max(0.5, 4.0) == 0.5
-    with pytest.raises(ValueError):
-        v_max(0.0, 1.0)
-    with pytest.raises(ValueError):
-        v_max(1.0, -1.0)
+    spec = EnvSpec(state_dim=1, max_episode_steps=10, n_actions=2)
+    assert EmuQ(spec, EmuqConfig(alpha=0.1, beta=1.0), None).v_max == 10.0
+    assert EmuQ(spec, EmuqConfig(alpha=0.5, beta=4.0), None).v_max == 0.5
 
 
 @pytest.mark.parametrize("discrete", [True, False])
 def test_pair_value_matrix_matches_explicit_embeddings(discrete):
     rng = np.random.default_rng(0)
     if discrete:
-        fmap = make_joint_map(2, 0.4, n_features=32, seed=3, n_actions=3,
-                              lengthscale_action=0.7)
+        spec = EnvSpec(state_dim=2, max_episode_steps=1, n_actions=3)
+        fmap = make_joint_map(spec, 0.4, 0.7, n_features=32, seed=3)
         actions = np.arange(3)
     else:
-        fmap = make_joint_map(2, 0.4, n_features=32, seed=3,
-                              action_low=[-1.0], action_high=[1.0],
-                              lengthscale_action=0.7)
+        spec = EnvSpec(state_dim=2, max_episode_steps=1,
+                       action_low=np.array([-1.0]),
+                       action_high=np.array([1.0]))
+        fmap = make_joint_map(spec, 0.4, 0.7, n_features=32, seed=3)
         actions = rng.uniform(-1, 1, size=(5, 1))
     states = rng.uniform(0, 1, size=(7, 2))
     m = rng.standard_normal(32)
@@ -319,7 +317,7 @@ def test_learning_stays_finite_under_weak_prior():
     env_rng, agent_rng, _ = seed_streams(0, 1)
     agent = EmuQ(env.spec, cfg, agent_rng)
     for _ in range(3):
-        run_episode(env, agent, env_rng, agent_rng, kappa=cfg.v_max)
+        run_episode(env, agent, env_rng, agent_rng, kappa=agent.v_max)
     assert np.isfinite(agent.model.m).all()
     assert np.isfinite(agent.model.t).all()
     assert np.isfinite(agent.model.S).all()

@@ -1,13 +1,22 @@
-"""Feature-map tests: RFF kernel approximation and the Fourier basis."""
+"""Feature-map tests: RFF kernel approximation and the joint map."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from exval.features import (MONTE_CARLO, QUASI_RANDOM, FourierBasisMap,
-                            fourier_basis_embed, kernel_exact,
-                            make_fourier_basis, make_joint_map, rff_embed,
-                            sample_rff)
+from exval.core import EnvSpec
+from exval.features import (MONTE_CARLO, QUASI_RANDOM, kernel_exact,
+                            make_joint_map, rff_embed, sample_rff)
+
+
+def discrete_spec(state_dim, n_actions):
+    return EnvSpec(state_dim=state_dim, max_episode_steps=1,
+                   n_actions=n_actions)
+
+
+def box_spec(state_dim, low, high):
+    return EnvSpec(state_dim=state_dim, max_episode_steps=1,
+                   action_low=np.array(low), action_high=np.array(high))
 
 
 def test_kernel_exact_basic_identities():
@@ -111,17 +120,17 @@ def test_rff_error_shrinks_with_more_features():
 
 
 def test_joint_map_discrete_one_hot():
-    fmap = make_joint_map(1, 0.5, n_features=16, seed=0, n_actions=3,
-                          lengthscale_action=1.0)
+    fmap = make_joint_map(discrete_spec(1, 3), 0.5, 1.0, n_features=16,
+                          seed=0)
     assert fmap.discrete
-    assert fmap.action_dim == 3
+    assert fmap.rff.frequencies.shape == (1 + 3, 8)
     enc = fmap.encode_actions([0, 2])
     npt.assert_array_equal(enc, [[1, 0, 0], [0, 0, 1]])
 
 
 def test_joint_map_box_normalization():
-    fmap = make_joint_map(2, 0.5, n_features=16, seed=0,
-                          action_low=[-2.0], action_high=[2.0])
+    fmap = make_joint_map(box_spec(2, [-2.0], [2.0]), 0.5, n_features=16,
+                          seed=0)
     assert not fmap.discrete
     enc = fmap.encode_actions([[-2.0], [0.0], [2.0]])
     npt.assert_allclose(enc, [[0.0], [0.5], [1.0]])
@@ -129,8 +138,8 @@ def test_joint_map_box_normalization():
 
 def test_joint_map_lengthscale_blocks():
     # State rows use the state lengthscale, action rows the action one.
-    fmap = make_joint_map(2, 0.1, n_features=40000, seed=4,
-                          n_actions=2, lengthscale_action=5.0)
+    fmap = make_joint_map(discrete_spec(2, 2), 0.1, 5.0, n_features=40000,
+                          seed=4)
     freqs = fmap.rff.frequencies
     npt.assert_allclose(freqs[:2].std(axis=1), 10.0, rtol=0.05)
     npt.assert_allclose(freqs[2:].std(axis=1), 0.2, rtol=0.05)
@@ -138,7 +147,7 @@ def test_joint_map_lengthscale_blocks():
 
 def test_joint_map_rejects_odd_feature_count():
     with pytest.raises(ValueError):
-        make_joint_map(1, 0.5, n_features=15, n_actions=2)
+        make_joint_map(discrete_spec(1, 2), 0.5, n_features=15)
 
 
 def joint_reference(fmap, state, action):
@@ -152,14 +161,12 @@ def test_embed_pairs_matches_single_embeds():
     rng = np.random.default_rng(7)
     for discrete in (True, False):
         if discrete:
-            fmap = make_joint_map(2, 0.3, n_features=24, seed=1,
-                                  n_actions=4, lengthscale_action=0.8)
+            fmap = make_joint_map(discrete_spec(2, 4), 0.3, 0.8,
+                                  n_features=24, seed=1)
             actions = rng.integers(4, size=10)
         else:
-            fmap = make_joint_map(2, 0.3, n_features=24, seed=1,
-                                  action_low=[-1.0, 0.0],
-                                  action_high=[1.0, 3.0],
-                                  lengthscale_action=0.8)
+            fmap = make_joint_map(box_spec(2, [-1.0, 0.0], [1.0, 3.0]), 0.3,
+                                  0.8, n_features=24, seed=1)
             actions = rng.uniform([-1, 0], [1, 3], size=(10, 2))
         states = rng.uniform(0, 1, size=(10, 2))
         batch = fmap.embed_pairs(states, actions)
@@ -171,45 +178,11 @@ def test_embed_pairs_matches_single_embeds():
 def test_joint_embedding_approximates_product_kernel():
     # <phi(s,a), phi(s',a')> estimates the RBF kernel over the stacked
     # normalized (state, action) input.
-    fmap = make_joint_map(1, 0.5, n_features=4000, seed=2,
-                          action_low=[0.0], action_high=[1.0],
-                          lengthscale_action=0.5)
+    fmap = make_joint_map(box_spec(1, [0.0], [1.0]), 0.5, 0.5,
+                          n_features=4000, seed=2)
     s1, a1 = np.array([0.2]), np.array([0.9])
     s2, a2 = np.array([0.5]), np.array([0.4])
     k_hat = joint_reference(fmap, s1, a1) @ joint_reference(fmap, s2, a2)
     k_true = kernel_exact([0.2, 0.9], [0.5, 0.4], 0.5)
     assert abs(k_hat - k_true) < 0.05
 
-
-def test_fourier_basis_shapes_and_counts():
-    fmap = make_fourier_basis(order=3, input_dim=2)
-    assert isinstance(fmap, FourierBasisMap)
-    assert fmap.n_features == 16
-    assert fmap.coefficients.shape == (2, 16)
-    assert make_fourier_basis(5, 1).n_features == 6
-    with pytest.raises(ValueError):
-        make_fourier_basis(-1, 2)
-    with pytest.raises(ValueError):
-        make_fourier_basis(2, 0)
-
-
-def test_fourier_basis_embed_matches_loop():
-    fmap = make_fourier_basis(order=2, input_dim=2)
-    s = np.array([0.5, 1.0])
-    got = fourier_basis_embed(s, fmap)
-    want = [np.cos(np.pi * (s @ fmap.coefficients[:, j]))
-            for j in range(fmap.n_features)]
-    npt.assert_allclose(got, want, atol=1e-15)
-    # constant coefficient row gives the constant feature
-    assert got[0] == 1.0
-
-
-def test_fourier_basis_embed_batch():
-    fmap = make_fourier_basis(order=1, input_dim=3)
-    rng = np.random.default_rng(3)
-    S = rng.uniform(0, 1, size=(6, 3))
-    batch = fourier_basis_embed(S, fmap)
-    assert batch.shape == (6, 8)
-    npt.assert_allclose(batch[4], fourier_basis_embed(S[4], fmap))
-    with pytest.raises(ValueError):
-        fourier_basis_embed(np.zeros(2), fmap)
