@@ -274,6 +274,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
     # started once one raises.
     run_seed = partial(_run_seed, config, out=out,
                        save_checkpoints=save_checkpoints)
+    # A fork pool starts all its workers at once: one per seed at most.
+    workers = min(workers, config.n_seeds)
     ordered: list[RunResult] = []
     failure = None
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1

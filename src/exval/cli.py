@@ -65,10 +65,14 @@ def cmd_run(args) -> int:
     results = run_experiment(config, out_dir=out, workers=args.workers,
                              save_checkpoints=not args.no_checkpoints)
     n_goal = sum(1 for r in results if r.episodes_to_first_goal is not None)
-    resolves = sum(r.agent_stats.get("resolves", 0) for r in results)
-    capped = sum(r.agent_stats.get("resolves_capped", 0) for r in results)
-    note = (f"; {capped} of {resolves} re-solves hit the iteration cap"
-            if resolves else "")
+    totals = {key: sum(r.agent_stats.get(key, 0) for r in results)
+              for key in ("resolves", "resolves_capped",
+                          "re_range_violations", "var_violations")}
+    note = (f"; {totals['resolves_capped']} of {totals['resolves']} "
+            "re-solves hit the iteration cap" if totals["resolves"] else "")
+    for key in ("re_range_violations", "var_violations"):
+        if totals[key]:
+            note += f"; {totals[key]} {key}"
     print(f"{config.experiment}: {len(results)} runs -> {out} "
           f"({n_goal} reached the goal{note})")
     return 0

@@ -85,6 +85,12 @@ class EnvSpec:
     action_low: np.ndarray | None = None   # box action bounds otherwise
     action_high: np.ndarray | None = None
 
+    def __post_init__(self):
+        steps = whole_number("max_episode_steps", self.max_episode_steps)
+        if steps < 1:
+            raise ValueError(f"max_episode_steps must be >= 1, got {steps}")
+        object.__setattr__(self, "max_episode_steps", steps)
+
     @property
     def discrete_actions(self) -> bool:
         return self.n_actions is not None

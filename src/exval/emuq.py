@@ -69,6 +69,12 @@ def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
     return Cs @ Ac + Ss @ As
 
 
+def angle_sum_rows(cs, ss, ca, sa):
+    """Unscaled rows [cos(ps + pa), sin(ps + pa)] from the cos/sin of state
+    (cs, ss) and action (ca, sa) projections, which broadcast together."""
+    return np.hstack([cs * ca - ss * sa, ss * ca + cs * sa])
+
+
 @dataclass
 class EmuqConfig:
     gamma: float = 0.99
@@ -111,10 +117,13 @@ class EmuQ:
         # unit-norm features, reached everywhere on a fresh posterior
         # (S's eigenvalues never exceed 1/alpha); r_e lies in [-V_max, 0].
         self.v_max = 1.0 / (config.alpha * config.beta)
-        self._phi_rows: list[np.ndarray] = []
-        self._rewards: list[float] = []
-        self._next_obs: list[np.ndarray] = []
-        self._absorbing: list[bool] = []
+        # Transition store, keyed as state_arrays saves it: the first _n
+        # rows of each array are live, and every array doubles when full.
+        self._n = 0
+        self._store = {"phi_rows": np.empty((0, config.n_features)),
+                       "rewards": np.empty(0),
+                       "next_obs": np.empty((0, env_spec.state_dim)),
+                       "absorbing": np.empty(0, dtype=bool)}
         # Largest reward magnitude seen; floors the Q bootstrap range at
         # unit scale before any reward has arrived.
         self._r_abs_max = 1.0
@@ -134,9 +143,6 @@ class EmuQ:
         self._build_expectation_set()
 
     # -- feature helpers -------------------------------------------------
-
-    def _as_state(self, obs) -> np.ndarray:
-        return np.atleast_1d(np.asarray(obs, dtype=float))
 
     def _candidates(self, rng, n: int) -> np.ndarray:
         """Every discrete action, or n uniform samples of the 1-D action
@@ -174,13 +180,8 @@ class EmuQ:
 
     def _pair_features(self, obs, actions) -> np.ndarray:
         """Feature rows of one state paired with each action in turn."""
-        state = self._as_state(obs)
-        states = np.broadcast_to(state, (len(actions), state.shape[0]))
+        states = np.broadcast_to(obs, (len(actions), self.spec.state_dim))
         return self.fmap.embed_pairs(states, actions)
-
-    def _row(self, obs, action) -> np.ndarray:
-        """Feature row of one (state, action) pair."""
-        return self._pair_features(obs, [action])[0]
 
     # -- acting ----------------------------------------------------------
 
@@ -201,18 +202,6 @@ class EmuQ:
 
     # -- exploration reward ----------------------------------------------
 
-    def _re_from_centered(self, centered: np.ndarray) -> float:
-        """Map mean centered quadratic form phi^T (S - I/alpha) phi to r_e.
-
-        On a fresh posterior the centered matrix is exactly zero, so the
-        result is an exact 0.0; as data accumulates it falls toward
-        -V_max.  Clipping guards the bounds against rounding drift.
-        """
-        raw = float(np.mean(centered)) / self.config.beta
-        if raw > 1e-9 or raw < -self.v_max - 1e-9:
-            self.re_range_violations += 1
-        return float(np.clip(raw, -self.v_max, 0.0))
-
     def exploration_reward(self, obs_next, rng) -> float:
         """Average posterior Q-variance over the expectation set at s',
         minus V_max.
@@ -224,10 +213,8 @@ class EmuQ:
         stream through it.
         """
         c = self.config
-        proj_s = self.fmap.state_projection(self._as_state(obs_next))
-        cs, ss = np.cos(proj_s), np.sin(proj_s)
-        ca, sa = self._expect_cs
-        phi = np.hstack([cs * ca - ss * sa, ss * ca + cs * sa])
+        proj_s = self.fmap.state_projection(obs_next)
+        phi = angle_sum_rows(np.cos(proj_s), np.sin(proj_s), *self._expect_cs)
         phi *= 1.0 / np.sqrt(self.fmap.n_spectral)
         centered = self.model.centered_quadratic(phi)
         norms = np.einsum("ij,ij->i", phi, phi)
@@ -236,14 +223,18 @@ class EmuQ:
         self.var_max_seen = max(self.var_max_seen, float(variances.max()))
         if np.any(variances > self.v_max + 1e-9):
             self.var_violations += 1
-        r_e = self._re_from_centered(centered)
-        self._note_re(r_e)
-        return r_e
-
-    def _note_re(self, r_e: float) -> None:
+        # r_e is the mean centered form phi^T (S - I/alpha) phi / beta: an
+        # exact 0.0 on a fresh posterior (the centered matrix is zero),
+        # falling toward -V_max as data accumulates.  Clipping guards the
+        # bounds against rounding drift.
+        raw = float(np.mean(centered)) / c.beta
+        if raw > 1e-9 or raw < -self.v_max - 1e-9:
+            self.re_range_violations += 1
+        r_e = float(np.clip(raw, -self.v_max, 0.0))
         self.re_count += 1
         self.re_min = min(self.re_min, r_e)
         self.re_max = max(self.re_max, r_e)
+        return r_e
 
     # -- learning --------------------------------------------------------
 
@@ -275,7 +266,7 @@ class EmuQ:
         """
         c = self.config
         self._r_abs_max = max(self._r_abs_max, abs(float(tr.reward)))
-        phi = self._row(tr.state, tr.action)
+        phi = self._pair_features(tr.state, [tr.action])[0]
         r_e = self.exploration_reward(tr.next_state, rng)
         a_next = None
         if tr.absorbing:
@@ -287,16 +278,22 @@ class EmuQ:
             boot_u = float(np.clip(boot_u, u_lo, u_hi))
         self.model.observe(phi, [tr.reward + c.gamma * boot_q,
                                  r_e + c.gamma * boot_u])
-        self._phi_rows.append(phi)
-        self._rewards.append(float(tr.reward))
-        self._next_obs.append(self._as_state(tr.next_state))
-        self._absorbing.append(bool(tr.absorbing))
-        if len(self._phi_rows) % SYMMETRIZE_EVERY == 0:
+        n = self._n
+        if n == len(self._store["rewards"]):
+            self._store = {name: np.resize(rows, (2 * n + 1,) + rows.shape[1:])
+                           for name, rows in self._store.items()}
+        store = self._store
+        store["phi_rows"][n] = phi
+        store["rewards"][n] = tr.reward
+        store["next_obs"][n] = tr.next_state
+        store["absorbing"][n] = tr.absorbing
+        self._n = n + 1
+        if self._n % SYMMETRIZE_EVERY == 0:
             self.model.symmetrize()
         return a_next
 
     def end_episode(self, kappa: float, rng) -> None:
-        if self._phi_rows:
+        if self._n:
             self._sweep(kappa, rng)
 
     # -- episode sweep ---------------------------------------------------
@@ -313,15 +310,14 @@ class EmuQ:
         c = self.config
         self.model.symmetrize()
         S = self.model.S
-        Phi = np.vstack(self._phi_rows)
-        r = np.asarray(self._rewards)
-        absorbing = np.asarray(self._absorbing, dtype=bool)
-        next_states = np.vstack(self._next_obs)
+        store = self.state_arrays()
+        Phi, r = store["phi_rows"], store["rewards"]
+        absorbing = store["absorbing"]
         rows = np.arange(len(r))
         n_spectral = self.fmap.n_spectral
         scale = 1.0 / np.sqrt(n_spectral)
 
-        proj_s = self.fmap.state_projection(next_states)
+        proj_s = self.fmap.state_projection(store["next_obs"])
         Cs, Ss = np.cos(proj_s), np.sin(proj_s)
 
         actions = self._candidates(rng, c.n_sweep_candidates)
@@ -347,14 +343,11 @@ class EmuQ:
             """
             free = (boot == raw) & ~absorbing
             const = np.where(free, 0.0, boot)
-            ca, sa = Ca[k_star], Sa[k_star]
-            psi_c = Cs * ca
-            psi_c -= Ss * sa
-            psi_s = Ss * ca
-            psi_s += Cs * sa
-            psi_c[~free] = 0.0
-            psi_s[~free] = 0.0
-            phi_psi = np.hstack([Phi.T @ psi_c, Phi.T @ psi_s])
+            psi = angle_sum_rows(Cs, Ss, Ca[k_star], Sa[k_star])
+            psi[~free] = 0.0
+            # two products: one Phi.T @ psi rounds differently
+            phi_psi = np.hstack([Phi.T @ psi[:, :n_spectral],
+                                 Phi.T @ psi[:, n_spectral:]])
             lhs = np.eye(len(S)) - (c.gamma * c.beta * scale) * (S @ phi_psi)
             rhs = S @ (c.beta * (Phi.T @ (targets + c.gamma * const)))
             try:
@@ -491,14 +484,13 @@ class EmuQ:
         }
 
     def state_arrays(self) -> dict:
-        """Posterior, feature map and transition store for checkpointing."""
+        """Posterior, feature map and transition store for checkpointing;
+        the store arrays are the live rows the re-solve reads, not copies."""
+        n = self._n
         return {
             "S": self.model.S, "m": self.model.m, "t": self.model.t,
             "frequencies": self.fmap.rff.frequencies,
-            "phi_rows": np.reshape(self._phi_rows, (-1, self.fmap.n_features)),
-            "rewards": np.asarray(self._rewards, dtype=float),
-            "next_obs": np.reshape(self._next_obs, (-1, self.fmap.state_dim)),
-            "absorbing": np.asarray(self._absorbing, dtype=bool),
+            **{name: rows[:n] for name, rows in self._store.items()},
         }
 
     def load_state_arrays(self, arrays) -> None:
@@ -506,8 +498,9 @@ class EmuQ:
         training continues as if it had never stopped.  Every array must
         have the shape and dtype kind that this agent's config and env
         spec give it; CheckpointError names the first that does not.
-        The largest reward magnitude is recomputed from the stored
-        rewards, and arrays other than state_arrays' own are ignored."""
+        The checked store arrays become the store as they are, the largest
+        reward magnitude is recomputed from the stored rewards, and
+        arrays other than state_arrays' own are ignored."""
         spec = self.spec
         n_features = self.config.n_features
         n = np.size(arrays["rewards"])
@@ -527,8 +520,6 @@ class EmuQ:
         self.model.S = saved["S"]
         self.model.t = saved["t"]
         self.model.m = saved["m"]
-        self._phi_rows = list(saved["phi_rows"])
-        self._rewards = [float(r) for r in saved["rewards"]]
-        self._next_obs = list(saved["next_obs"])
-        self._absorbing = [bool(a) for a in saved["absorbing"]]
-        self._r_abs_max = max([1.0] + [abs(r) for r in self._rewards])
+        self._store = {name: saved[name] for name in self._store}
+        self._n = n
+        self._r_abs_max = float(np.abs(saved["rewards"]).max(initial=1.0))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import EnvSpec, StepOutcome
+from ..core import EnvSpec, StepOutcome, real_number, whole_number
 
 LEFT, RIGHT = 0, 1
 
@@ -30,13 +30,18 @@ class ChainEnv:
 
     def __init__(self, n_states: int, semi_sparse_p: float | None = None,
                  vector_obs: bool = False, max_episode_steps: int = 1000):
-        if n_states < 2:
+        self.n = whole_number("n_states", n_states)
+        if self.n < 2:
             raise ValueError("chain needs at least 2 states")
-        if semi_sparse_p is not None and not 0.0 <= semi_sparse_p <= 1.0:
-            raise ValueError("semi_sparse_p must lie in [0, 1]")
-        self.n = int(n_states)
+        if semi_sparse_p is not None:
+            semi_sparse_p = real_number("semi_sparse_p", semi_sparse_p)
+            if not 0.0 <= semi_sparse_p <= 1.0:
+                raise ValueError("semi_sparse_p must lie in [0, 1]")
+        if not isinstance(vector_obs, bool):
+            raise ValueError("vector_obs must be true or false, "
+                             f"got {vector_obs!r}")
         self.semi_sparse_p = semi_sparse_p
-        self.vector_obs = bool(vector_obs)
+        self.vector_obs = vector_obs
         self.spec = EnvSpec(
             state_dim=1,
             max_episode_steps=max_episode_steps,

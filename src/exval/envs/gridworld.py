@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import EnvSpec, StepOutcome, real_number
+from ..core import EnvSpec, StepOutcome, real_number, whole_number
 
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 _MOVES = {UP: (-1, 0), RIGHT: (0, 1), DOWN: (1, 0), LEFT: (0, -1)}
@@ -27,8 +27,10 @@ class CliffEnv:
         self.slip_prob = real_number("slip_prob", slip_prob)
         if not 0.0 <= self.slip_prob <= 1.0:
             raise ValueError("slip_prob must lie in [0, 1]")
-        self.height = int(height)
-        self.width = int(width)
+        self.height = whole_number("height", height)
+        self.width = whole_number("width", width)
+        if self.height < 2 or self.width < 2:
+            raise ValueError("cliff needs at least 2 rows and 2 columns")
         self.reward_scale = real_number("reward_scale", reward_scale)
         self.start = (self.height - 1, 0)
         self.goal = (self.height - 1, self.width - 1)

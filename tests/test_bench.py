@@ -15,6 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from exval import bench
 from exval.bench import (CHECKPOINT_VERSION, CSV_HEADER, CheckpointError,
                          ConfigError,
                          ExperimentConfig, aggregate_directory,
@@ -303,6 +304,37 @@ def test_failed_seed_propagates_after_flushing_completed_runs(tmp_path,
     assert not (out / "run_s002.csv").exists()
     meta = json.loads((out / "meta.json").read_text())
     assert meta["n_seeds_completed"] == 1
+
+
+def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
+    # A fork pool starts every worker it is asked for, so the pool gets
+    # at most one per seed, and one seed runs without a pool.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    config = tiny_config(n_seeds=2)
+    results = run_experiment(config, out_dir=tmp_path / "two", workers=16,
+                             save_checkpoints=False)
+    assert pools == [2]
+    assert [r.seed for r in results] == [0, 1]
+    results = run_experiment(dataclasses.replace(config, n_seeds=1),
+                             out_dir=tmp_path / "one", workers=16,
+                             save_checkpoints=False)
+    assert pools == [2]
+    assert [r.seed for r in results] == [0]
 
 
 def test_parallel_workers_match_serial_bytes(tmp_path):
@@ -670,7 +702,8 @@ def test_checkpoint_resumes_emuq_training(tmp_path):
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
     loaded, loaded_env = load_checkpoint(path)
-    assert len(loaded._phi_rows) == len(agent._phi_rows) > 0
+    n_saved = len(agent.state_arrays()["phi_rows"])
+    assert len(loaded.state_arrays()["phi_rows"]) == n_saved > 0
     assert loaded._r_abs_max == agent._r_abs_max
 
     run_episode(loaded_env, loaded, copy.deepcopy(env_rng),
@@ -678,6 +711,12 @@ def test_checkpoint_resumes_emuq_training(tmp_path):
     run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
     npt.assert_array_equal(loaded.model.m, agent.model.m)
     npt.assert_array_equal(loaded.model.t, agent.model.t)
+    # the loaded store was full at n_saved rows, so this episode grew it
+    resumed, straight = loaded.state_arrays(), agent.state_arrays()
+    assert len(straight["rewards"]) > n_saved
+    for name in ("phi_rows", "rewards", "next_obs", "absorbing"):
+        assert resumed[name].dtype == straight[name].dtype, name
+        npt.assert_array_equal(resumed[name], straight[name])
 
 
 def test_checkpoint_empty_emuq_store_roundtrip(tmp_path):
@@ -692,8 +731,10 @@ def test_checkpoint_empty_emuq_store_roundtrip(tmp_path):
         assert data["phi_rows"].shape == (0, 16)
         assert data["next_obs"].shape == (0, 1)
     loaded, _ = load_checkpoint(path)
-    assert loaded._phi_rows == [] and loaded._next_obs == []
-    assert loaded._rewards == [] and loaded._absorbing == []
+    store = loaded.state_arrays()
+    assert store["phi_rows"].shape == (0, 16)
+    assert store["next_obs"].shape == (0, 1)
+    assert store["rewards"].shape == store["absorbing"].shape == (0,)
     assert loaded._r_abs_max == 1.0
 
 
@@ -791,9 +832,32 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
                       printed)
     assert found, printed
     assert (int(found[1]), int(found[2])) == (capped, 2 * 2 * 3)
+    assert "violations" not in printed
     meta = json.loads((tmp_path / "emuq" / "meta.json").read_text())
     assert meta["agent_stats"]["0"]["resolves"] == 6
     assert "sweeps_converged" not in meta["agent_stats"]["0"]
+
+
+def test_cli_run_line_counts_invariant_violations(tmp_path, capsys,
+                                                  monkeypatch):
+    run_stats = EmuQ.run_stats
+
+    def violating_stats(agent):
+        return {**run_stats(agent), "re_range_violations": 2,
+                "var_violations": 3}
+
+    monkeypatch.setattr(EmuQ, "run_stats", violating_stats)
+    cfg_path = tmp_path / "emuq.json"
+    cfg_path.write_text(json.dumps(tiny_dict(
+        env={"name": "mountaincar", "params": {"max_episode_steps": 5}},
+        agent={"kind": "emuq", "params": {"n_features": 16}},
+        n_episodes=1)))
+    assert main(["run", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "out"), "--no-checkpoints"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.rstrip().endswith(
+        "re-solves hit the iteration cap; 4 re_range_violations; "
+        "6 var_violations)"), printed
 
 
 def test_cli_seed_override(tmp_path, capsys):
@@ -869,6 +933,43 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         "chain n_states": (
             {"env": {"name": "chain", "params": {"n_states": 1}}},
             "bad env params: chain needs at least 2 states"),
+        "chain fractional n_states": (
+            {"env": {"name": "chain", "params": {"n_states": 5.5}}},
+            "bad env params: n_states must be a whole number"),
+        "chain bool semi_sparse_p": (
+            {"env": {"name": "chain",
+                     "params": {"n_states": 5, "semi_sparse_p": True}}},
+            "bad env params: semi_sparse_p must be a finite number"),
+        "chain string vector_obs": (
+            {"env": {"name": "chain",
+                     "params": {"n_states": 5, "vector_obs": "false"}}},
+            "bad env params: vector_obs must be true or false"),
+        "cliff fractional height": (
+            {"env": {"name": "cliff", "params": {"height": 4.5}}},
+            "bad env params: height must be a whole number"),
+        "cliff height 0": (
+            {"env": {"name": "cliff", "params": {"height": 0}}},
+            "bad env params: cliff needs at least 2 rows and 2 columns"),
+        "cliff width 1": (
+            {"env": {"name": "cliff", "params": {"width": 1}}},
+            "bad env params: cliff needs at least 2 rows and 2 columns"),
+        "cliff string width": (
+            {"env": {"name": "cliff", "params": {"width": "12"}}},
+            "bad env params: width must be a whole number"),
+        "bool max_episode_steps": (
+            {"env": {"name": "cliff", "params": {"max_episode_steps": True}}},
+            "bad env params: max_episode_steps must be a whole number"),
+        "fractional max_episode_steps": (
+            {"env": {"name": "cliff", "params": {"max_episode_steps": 2.5}}},
+            "bad env params: max_episode_steps must be a whole number"),
+        "string max_episode_steps": (
+            {"env": {"name": "taxi", "params": {"max_episode_steps": "20"}}},
+            "bad env params: max_episode_steps must be a whole number"),
+        "mountaincar max_episode_steps 0": (
+            {"env": {"name": "mountaincar",
+                     "params": {"max_episode_steps": 0}},
+             "agent": {"kind": "emuq", "params": {}}},
+            "bad env params: max_episode_steps must be >= 1"),
         "cliff slip_prob": (
             {"env": {"name": "cliff", "params": {"slip_prob": 2.0}}},
             "bad env params: slip_prob"),

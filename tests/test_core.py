@@ -76,6 +76,15 @@ def test_env_spec_action_validation():
     assert box.action_dim == 1
 
 
+def test_env_spec_step_cap_is_a_whole_number():
+    spec = EnvSpec(state_dim=1, max_episode_steps=5.0, n_actions=2)
+    assert spec.max_episode_steps == 5
+    assert type(spec.max_episode_steps) is int
+    for bad in (True, 2.5, "20", 0, -3):
+        with pytest.raises(ValueError, match="max_episode_steps"):
+            EnvSpec(state_dim=1, max_episode_steps=bad, n_actions=2)
+
+
 def test_seed_streams_reproducible_and_distinct():
     e1, a1, v1 = seed_streams(0, 5)
     e2, a2, v2 = seed_streams(0, 5)

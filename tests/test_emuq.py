@@ -167,7 +167,7 @@ def test_observe_projects_bootstrap_to_attainable_range():
     assert agent.observe(tr, 1.0, np.random.default_rng(5)) in (0, 1)
     # Q bootstrap 50 clipped to q_hi = 2, U bootstrap 50 clipped to 0, and
     # r_e is 0 on the fresh covariance: targets [0 + 0.5 * 2, 0 + 0.5 * 0]
-    (phi,) = agent._phi_rows
+    (phi,) = agent.state_arrays()["phi_rows"]
     npt.assert_array_equal(agent.model.t[:, 0], phi)
     assert not agent.model.t[:, 1].any()
 
@@ -178,7 +178,7 @@ def test_observe_no_projection_without_discounting():
                     next_state=np.array([0.0]), absorbing=False)
     assert agent.observe(tr, 1.0, np.random.default_rng(5)) in (0, 1)
     # no finite attainable range at gamma = 1, so the raw value stands
-    (phi,) = agent._phi_rows
+    (phi,) = agent.state_arrays()["phi_rows"]
     npt.assert_allclose(agent.model.t[:, 0], 50.0 * phi, rtol=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_observe_absorbing_zeroes_bootstrap_and_tracks_reward_scale():
     assert agent.observe(tr, 1.0, np.random.default_rng(6)) is None
     assert agent._r_abs_max == 3.0
     # absorbing: target is the raw reward, no bootstrap at all
-    (phi,) = agent._phi_rows
+    (phi,) = agent.state_arrays()["phi_rows"]
     npt.assert_array_equal(agent.model.t[:, 0], -3.0 * phi)
 
 
@@ -224,8 +224,9 @@ def test_covariance_symmetrized_at_store_length_multiples(monkeypatch):
         agent.observe(tr, 1.0, np.random.default_rng(0))
     loaded = EmuQ(discrete_spec(), agent.config, None)
     loaded.load_state_arrays(agent.state_arrays())
-    monkeypatch.setattr(loaded.model, "symmetrize",
-                        lambda: calls.append(len(loaded._phi_rows)))
+    monkeypatch.setattr(
+        loaded.model, "symmetrize",
+        lambda: calls.append(len(loaded.state_arrays()["rewards"])))
     for _ in range(5):
         loaded.observe(tr, 1.0, np.random.default_rng(0))
     assert calls == [6, 9]
@@ -245,9 +246,10 @@ def mc_setup(run_seed=7, episodes=1, cap=40):
 def test_observe_stores_transition_rows():
     env, agent, rng, logs = mc_setup()
     n = logs[0].steps
-    assert len(agent._phi_rows) == n
-    assert len(agent._rewards) == len(agent._next_obs) == n
-    assert len(agent._absorbing) == n
+    store = agent.state_arrays()
+    assert len(store["phi_rows"]) == n
+    assert len(store["rewards"]) == len(store["next_obs"]) == n
+    assert len(store["absorbing"]) == n
     assert agent.re_count >= n
 
 
@@ -261,7 +263,7 @@ def test_invariant_monitors_stay_clean():
 
 def test_visited_region_has_lower_exploration_reward():
     env, agent, rng, logs = mc_setup(episodes=2)
-    near = agent.exploration_reward(agent._next_obs[0], rng)
+    near = agent.exploration_reward(agent.state_arrays()["next_obs"][0], rng)
     far = agent.exploration_reward(np.array([1.0, 1.0]), rng)
     assert near < far <= 0.0
 
@@ -279,11 +281,11 @@ def expectation_actions(agent):
 
 def test_recompute_exploration_rewards_matches_brute_force():
     env, agent, rng, logs = mc_setup()
-    next_states = np.vstack(agent._next_obs)
+    next_states = agent.state_arrays()["next_obs"]
     proj = agent.fmap.state_projection(next_states)
     recomputed = agent._recompute_exploration_rewards(np.cos(proj),
                                                       np.sin(proj))
-    per_step = [agent.exploration_reward(ns, rng) for ns in agent._next_obs]
+    per_step = [agent.exploration_reward(ns, rng) for ns in next_states]
     assert min(per_step) < -0.1        # the covariance has learned something
     npt.assert_allclose(per_step, recomputed, rtol=0.0, atol=1e-12)
 
@@ -292,7 +294,7 @@ def test_recompute_exploration_rewards_matches_brute_force():
     actions = expectation_actions(agent)
     C = agent.model.S - np.eye(c.n_features) / c.alpha
     want = []
-    for ns in agent._next_obs:
+    for ns in next_states:
         phi = agent.fmap.embed_pairs(np.tile(ns, (len(actions), 1)), actions)
         quad = np.einsum("ij,ij->i", phi @ C, phi)
         want.append(np.clip(np.mean(quad) / c.beta, -agent.v_max, 0.0))
@@ -398,7 +400,7 @@ def record_resolves(agent):
         sweep(kappa, rng)
         (sweep_actions,) = draws
         records.append({
-            "kappa": kappa, "n": len(agent._rewards),
+            "kappa": kappa, "n": len(agent.state_arrays()["rewards"]),
             "actions": sweep_actions,
             "S": agent.model.S.copy(), "m_before": m_before,
             "m": agent.model.m.copy(), "bounds": agent._boot_bounds(),
@@ -413,10 +415,11 @@ def resolve_residuals(agent, rec):
     """max |T(m) - m| for the Q and U heads at a re-solve's result, with
     the map T rebuilt by brute force from the stored transitions."""
     c, n = agent.config, rec["n"]
-    Phi = np.vstack(agent._phi_rows[:n])
-    rewards = np.asarray(agent._rewards[:n])
-    absorbing = np.asarray(agent._absorbing[:n])
-    next_obs = np.vstack(agent._next_obs[:n])
+    store = agent.state_arrays()
+    Phi = store["phi_rows"][:n]
+    rewards = store["rewards"][:n]
+    absorbing = store["absorbing"][:n]
+    next_obs = store["next_obs"][:n]
 
     def embed_all(actions):
         for k in range(len(actions)):
@@ -521,7 +524,7 @@ def test_posterior_stays_spd_and_matches_direct_solve(mountaincar_resolves):
     S = rec["S"]
     npt.assert_array_equal(S, S.T)
     assert np.linalg.eigvalsh(S).min() > 0.0
-    Phi = np.vstack(agent._phi_rows[:rec["n"]])
+    Phi = agent.state_arrays()["phi_rows"][:rec["n"]]
     S_exact, _ = exact_posterior(Phi, np.zeros(rec["n"]), agent.config.alpha,
                                  agent.config.beta)
     assert np.max(np.abs(S - S_exact)) <= 1e-9
