@@ -8,9 +8,9 @@ posterior is
     m = beta S Phi^T y                         (mean)
 
 ``BayesianLinearModel`` maintains S incrementally via the Sherman-Morrison
-identity (one O(M^2) update per observation, no matrix inversions after
-construction) together with the running precision-weighted target vector
-t = beta Phi^T y, from which m = S t.
+identity (one O(M^2) in-place BLAS rank-1 update per observation, no
+matrix inversions after construction) together with the running
+precision-weighted target vector t = beta Phi^T y, from which m = S t.
 
 Several regression heads can share one covariance: heads differ only in
 their targets, so S is head-independent as long as every head observes
@@ -20,6 +20,10 @@ every row of Phi.  Targets and means are stored as (M, n_heads) columns.
 from __future__ import annotations
 
 import numpy as np
+
+# Largest rank-1 update, in matrix entries, that OpenBLAS runs on the
+# calling thread (2048 * GEMM_MULTITHREAD_THRESHOLD in its default build).
+GER_BLOCK = 8192
 
 
 def exact_posterior(Phi, y, alpha: float, beta: float):
@@ -69,12 +73,33 @@ class BayesianLinearModel:
             S' = S - beta (S phi)(phi^T S) / (1 + beta phi^T S phi),
 
         then t += beta * phi * y per head and m = S' t.
+
+        The covariance takes the update in place from the BLAS rank-1
+        routine dger, with no M x M temporary.  Its two triangles round
+        independently, so S drifts from symmetry by rounding until
+        ``symmetrize``.  dger runs on column blocks of at most GER_BLOCK
+        entries, which OpenBLAS updates on the calling thread: scipy links
+        an OpenBLAS of its own beside numpy's, and worker threads of the
+        two compete for the same cores (with whole-matrix calls the
+        acceptance suite's chain runs took up to 3x as long on two
+        cores).  scipy.linalg is imported here, on first use, so
+        importing the package or running agents without this model does
+        not pay for it.
         """
+        from scipy.linalg.blas import dger
         phi = np.asarray(phi, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         u = self.S @ phi
-        denom = 1.0 + self.beta * float(phi @ u)
-        self.S -= (self.beta / denom) * np.outer(u, u)
+        coef = -self.beta / (1.0 + self.beta * float(phi @ u))
+        # dger silently updates a copy of a block that is not
+        # Fortran-contiguous, so S is made a writable C-ordered float
+        # array (a copy, once, of a Fortran-ordered checkpoint's); then
+        # each column block of S.T is a Fortran-ordered view of S
+        S = self.S = np.require(self.S, float, "CAW")
+        step = max(1, GER_BLOCK // len(u))
+        for j in range(0, len(u), step):
+            dger(coef, u, u[j:j + step], a=S.T[:, j:j + step],
+                 overwrite_a=True)
         self.t += self.beta * np.outer(phi, y)
         self.m = self.S @ self.t
 

@@ -26,6 +26,11 @@ from .bench import (CheckpointError, ConfigError, aggregate_directory,
                     run_experiment)
 from .core import eval_pure_exploit
 
+# Invariant counters of an agent's run_stats that the run line reports
+# when their total over seeds is not zero.
+VIOLATION_COUNTERS = ("re_range_violations", "var_violations",
+                      "posterior_violations")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,10 +72,10 @@ def cmd_run(args) -> int:
     n_goal = sum(1 for r in results if r.episodes_to_first_goal is not None)
     totals = {key: sum(r.agent_stats.get(key, 0) for r in results)
               for key in ("resolves", "resolves_capped",
-                          "re_range_violations", "var_violations")}
+                          *VIOLATION_COUNTERS)}
     note = (f"; {totals['resolves_capped']} of {totals['resolves']} "
             "re-solves hit the iteration cap" if totals["resolves"] else "")
-    for key in ("re_range_violations", "var_violations"):
+    for key in VIOLATION_COUNTERS:
         if totals[key]:
             note += f"; {totals[key]} {key}"
     print(f"{config.experiment}: {len(results)} runs -> {out} "

@@ -11,7 +11,11 @@ which is 0 where the model knows nothing and approaches -V_max where it
 is saturated, so U accumulates "how much is left to learn downstream".
 The average runs over a fixed expectation set built once per agent (all
 actions when discrete, stratified midpoints of a 1-D action box when
-continuous), whose action cos/sin are cached.  Actions maximize
+continuous).  Its action cos/sin enter the average only through their
+second-moment matrix, so the agent caches that matrix's principal
+directions and sums the variance over them instead of averaging it over
+the set: 5 rows in place of the 64 actions on the mountain-car configs,
+12 on pendulum, at most one per action when discrete.  Actions maximize
 Q + kappa * U over a candidate set drawn per call (all actions when
 discrete, uniform box samples plus endpoints when continuous).
 
@@ -26,7 +30,9 @@ stale per-step targets get corrected.  The re-solve takes exact Newton
 (LSTD) steps, each one linear solve with the greedy action and clipping
 of every stored row held fixed, as in least-squares policy iteration;
 if the greedy pattern keeps cycling it goes on with plain fixed-point
-steps.
+steps.  After the re-solve the covariance's eigenvalues are checked: the
+largest bounds every unit-norm feature's predictive variance by V_max,
+and the smallest must stay positive.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ SYMMETRIZE_EVERY = 1000
 SWEEP_TOL = 1e-6
 SWEEP_MAX_ITERS = 200
 NEWTON_STEPS = 10
+# Principal directions of the expectation set kept for r_e: those whose
+# second-moment eigenvalue exceeds this fraction of the largest.
+EXPECTATION_RTOL = 1e-16
 
 
 def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
@@ -128,13 +137,15 @@ class EmuQ:
         # unit scale before any reward has arrived.
         self._r_abs_max = 1.0
         self.sweep_history: list[dict] = []
-        # Running invariant monitors over every emitted r_e / variance.
+        # Invariant monitors: over every emitted r_e, and over the
+        # covariance's eigenvalues at every episode end.
         self.re_count = 0
         self.re_min = 0.0
         self.re_max = -np.inf
         self.re_range_violations = 0
         self.var_max_seen = 0.0
         self.var_violations = 0
+        self.posterior_violations = 0
         if rng is None:
             return
         self.fmap = make_joint_map(
@@ -157,10 +168,16 @@ class EmuQ:
         """Fix the actions r_e averages over and cache what uses them.
 
         Every discrete action, or n_expectation_samples stratified
-        midpoints of a 1-D action box.  Caches the cos/sin of their action
-        projections and the second moments of those blocks, so per-step
-        rows cost one state projection and the episode-end recompute no
-        action projection at all.
+        midpoints of a 1-D action box.  With Psi the K rows [ca, sa] of
+        their action projections' cos/sin, r_e reads the set only through
+        G = Psi^T Psi / K, because phi(s, a) = R(s) psi_a for a rotation
+        R(s) that is linear in psi_a, so the mean over a of
+        phi_a^T C phi_a is trace(C R G R^T).  Caches the principal
+        directions sqrt(lambda_i) w_i of G (from the SVD of Psi / sqrt(K))
+        whose eigenvalues lambda_i exceed EXPECTATION_RTOL times the
+        largest, split into cos and sin halves: the per-step r_e sums over
+        those few rows, and the episode-end recompute rebuilds G's blocks
+        from them.
         """
         spec = self.spec
         if spec.discrete_actions:
@@ -173,10 +190,12 @@ class EmuQ:
                                  f"(got {low.shape[0]} dimensions)")
             actions = low + (high - low) * ((np.arange(n) + 0.5) / n)[:, None]
         proj_a = self.fmap.action_projection(actions)
-        ca, sa = np.cos(proj_a), np.sin(proj_a)
-        k = len(actions)
-        self._expect_cs = (ca, sa)
-        self._expect_moments = (ca.T @ ca / k, ca.T @ sa / k, sa.T @ sa / k)
+        psi = np.hstack([np.cos(proj_a), np.sin(proj_a)])
+        _, sigma, vt = np.linalg.svd(psi / np.sqrt(len(actions)),
+                                     full_matrices=False)
+        keep = sigma ** 2 > EXPECTATION_RTOL * sigma[0] ** 2
+        rows = sigma[keep, None] * vt[keep]
+        self._expect_rows = np.hsplit(rows, 2)
 
     def _pair_features(self, obs, actions) -> np.ndarray:
         """Feature rows of one state paired with each action in turn."""
@@ -206,28 +225,25 @@ class EmuQ:
         """Average posterior Q-variance over the expectation set at s',
         minus V_max.
 
-        The rows phi(s', a) come from one state projection and the cached
-        action cos/sin by the angle-sum identity.  ``rng`` is unused, as
-        the set is fixed per agent; the parameter stays because hooks
-        around this method (perfbench's recording wrapper) pass the agent
-        stream through it.
+        The average is exact without embedding the set: it is a sum over
+        the cached principal directions of the set's second moments, each
+        rotated to s' by the angle-sum identity from one state projection
+        (see ``_build_expectation_set``).  ``rng`` is unused, as the set
+        is fixed per agent; the parameter stays because hooks around this
+        method (perfbench's recording wrapper) pass the agent stream
+        through it.
         """
         c = self.config
         proj_s = self.fmap.state_projection(obs_next)
-        phi = angle_sum_rows(np.cos(proj_s), np.sin(proj_s), *self._expect_cs)
-        phi *= 1.0 / np.sqrt(self.fmap.n_spectral)
-        centered = self.model.centered_quadratic(phi)
-        norms = np.einsum("ij,ij->i", phi, phi)
-        epistemic = centered + norms / c.alpha        # phi^T S phi rows
-        variances = epistemic / c.beta
-        self.var_max_seen = max(self.var_max_seen, float(variances.max()))
-        if np.any(variances > self.v_max + 1e-9):
-            self.var_violations += 1
-        # r_e is the mean centered form phi^T (S - I/alpha) phi / beta: an
-        # exact 0.0 on a fresh posterior (the centered matrix is zero),
-        # falling toward -V_max as data accumulates.  Clipping guards the
-        # bounds against rounding drift.
-        raw = float(np.mean(centered)) / c.beta
+        rows = angle_sum_rows(np.cos(proj_s), np.sin(proj_s),
+                              *self._expect_rows)
+        rows *= 1.0 / np.sqrt(self.fmap.n_spectral)
+        # r_e is the set's mean of the centered form phi^T (S - I/alpha)
+        # phi / beta, summed here over the principal rows: an exact 0.0
+        # on a fresh posterior (the centered matrix is zero), falling
+        # toward -V_max as data accumulates.  Clipping guards the bounds
+        # against rounding drift.
+        raw = float(np.sum(self.model.centered_quadratic(rows))) / c.beta
         if raw > 1e-9 or raw < -self.v_max - 1e-9:
             self.re_range_violations += 1
         r_e = float(np.clip(raw, -self.v_max, 0.0))
@@ -293,8 +309,22 @@ class EmuQ:
         return a_next
 
     def end_episode(self, kappa: float, rng) -> None:
+        """Re-solve both heads over the store, then check the covariance.
+
+        The largest eigenvalue of S over beta is the largest predictive
+        variance of any unit-norm feature, so it must not exceed V_max;
+        the smallest eigenvalue must stay positive, and S finite.
+        """
         if self._n:
             self._sweep(kappa, rng)
+        eig = np.linalg.eigvalsh(self.model.S)
+        var_max = float(eig[-1]) / self.config.beta
+        self.var_max_seen = max(self.var_max_seen, var_max)
+        if not var_max <= self.v_max + 1e-9:
+            self.var_violations += 1
+        # eigvalsh can return finite values for a matrix holding NaN
+        if not (eig[0] > 0.0 and np.isfinite(self.model.S).all()):
+            self.posterior_violations += 1
 
     # -- episode sweep ---------------------------------------------------
 
@@ -438,14 +468,15 @@ class EmuQ:
         """Exploration rewards for all stored next states under current S.
 
         Uses the exact average over the fixed expectation set, the one
-        the per-step rewards average over: with the cached second-moment
-        matrices of its cos/sin projections, the action average of
-        phi^T C phi collapses into one quadratic form per state
-        (brute-force-checked in the test suite).
+        the per-step rewards average over: with the cos/sin blocks of its
+        second-moment matrix, rebuilt from the cached principal
+        directions, the action average of phi^T C phi collapses into one
+        quadratic form per state (brute-force-checked in the test suite).
         """
         c = self.config
         n_spectral = self.fmap.n_spectral
-        g_cc, g_cs, g_ss = self._expect_moments
+        wc, ws = self._expect_rows
+        g_cc, g_cs, g_ss = wc.T @ wc, wc.T @ ws, ws.T @ ws
         g_sc = g_cs.T
 
         C = self.model.S - np.eye(self.model.n_features) / c.alpha
@@ -467,7 +498,17 @@ class EmuQ:
     # -- run statistics and checkpointing --------------------------------
 
     def run_stats(self) -> dict:
-        """Invariant monitors and re-solve counts of the run so far."""
+        """Invariant monitors and re-solve counts of the run so far.
+
+        ``re_*`` summarize every emitted r_e, and ``re_range_violations``
+        counts those outside [-V_max, 0] before clipping.  The rest come
+        from the covariance's eigenvalues at each episode end:
+        ``var_max_seen`` is the largest of lambda_max(S) / beta, the
+        predictive-variance bound over unit-norm features;
+        ``var_violations`` counts episode ends where it exceeded V_max,
+        and ``posterior_violations`` those where S's smallest eigenvalue
+        was not positive or S held a non-finite entry.
+        """
         capped = sum(not h[f"converged_{head}"]
                      and h[f"iters_{head}"] == SWEEP_MAX_ITERS
                      for h in self.sweep_history for head in ("q", "u"))
@@ -479,6 +520,7 @@ class EmuQ:
             "re_range_violations": self.re_range_violations,
             "var_max_seen": self.var_max_seen,
             "var_violations": self.var_violations,
+            "posterior_violations": self.posterior_violations,
             "resolves": 2 * len(self.sweep_history),
             "resolves_capped": capped,
         }

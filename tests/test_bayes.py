@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from exval.bayes import BayesianLinearModel, exact_posterior
+from exval.features import rff_embed, sample_rff
 
 
 def ridge_oracle(Phi, y, alpha, beta):
@@ -69,6 +70,22 @@ def test_incremental_matches_exact_posterior():
         S_ref, m_ref = exact_posterior(Phi, Y, alpha, beta)
         npt.assert_allclose(model.S, S_ref, atol=1e-10)
         npt.assert_allclose(model.m, m_ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.001])
+def test_rank1_updates_at_agent_scale_match_exact_posterior(alpha):
+    # EmuQ's size: M = 300 unit-norm RFF rows, many more rows than
+    # features.  The in-place rank-1 updates stay within rounding of the
+    # direct solve, and nearly symmetric with no symmetrize call.
+    rng = np.random.default_rng(11)
+    fmap = sample_rff([0.3, 0.3], 150, seed=5)
+    Phi = rff_embed(rng.uniform(0.0, 1.0, size=(1500, 2)), fmap)
+    model = BayesianLinearModel(300, alpha=alpha, beta=1.0)
+    for phi in Phi:
+        model.observe(phi, 0.0)
+    S_ref, _ = exact_posterior(Phi, np.zeros(len(Phi)), alpha, 1.0)
+    assert np.max(np.abs(model.S - S_ref)) <= 1e-10 / alpha
+    assert np.max(np.abs(model.S - model.S.T)) <= 1e-12 / alpha
 
 
 def test_observe_target_accumulator():

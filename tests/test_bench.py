@@ -740,17 +740,21 @@ def test_checkpoint_empty_emuq_store_roundtrip(tmp_path):
 
 def test_tabular_agents_do_not_import_scipy_stats():
     # scipy.stats costs most of a second to import; only quasi-random
-    # feature maps need it.
+    # feature maps need it.  scipy.linalg, whose BLAS the Bayesian model
+    # updates its covariance with, stays out of a tabular run as well.
     code = textwrap.dedent("""
+        import dataclasses
         import sys
         import numpy as np
         import exval
-        from exval.bench import load_config, make_agent
+        from exval.bench import load_config, make_agent, run_single
         from exval.envs import make_env
         config = load_config(sys.argv[1])
         env = make_env(config.env_name, **config.env_params)
         agent = make_agent(config, env, np.random.default_rng(0))
         print(type(agent).__name__, "scipy.stats" in sys.modules)
+        run_single(dataclasses.replace(config, n_episodes=3), 0)
+        print("scipy.linalg" in sys.modules, "scipy.stats" in sys.modules)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -760,7 +764,8 @@ def test_tabular_agents_do_not_import_scipy_stats():
         [sys.executable, "-c", code,
          str(CONFIG_DIR / "taxi_explvalues_target_stop.json")],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["ExplorationValuesAgent", "False"]
+    assert done.stdout.split() == ["ExplorationValuesAgent", "False",
+                                   "False", "False"]
 
 
 def test_emuq_checkpoint_load_does_not_import_scipy_stats(tmp_path):
@@ -835,6 +840,7 @@ def test_cli_run_and_aggregate(tmp_path, capsys):
     assert "violations" not in printed
     meta = json.loads((tmp_path / "emuq" / "meta.json").read_text())
     assert meta["agent_stats"]["0"]["resolves"] == 6
+    assert meta["agent_stats"]["0"]["posterior_violations"] == 0
     assert "sweeps_converged" not in meta["agent_stats"]["0"]
 
 
@@ -844,7 +850,7 @@ def test_cli_run_line_counts_invariant_violations(tmp_path, capsys,
 
     def violating_stats(agent):
         return {**run_stats(agent), "re_range_violations": 2,
-                "var_violations": 3}
+                "var_violations": 3, "posterior_violations": 1}
 
     monkeypatch.setattr(EmuQ, "run_stats", violating_stats)
     cfg_path = tmp_path / "emuq.json"
@@ -857,7 +863,7 @@ def test_cli_run_line_counts_invariant_violations(tmp_path, capsys,
     printed = capsys.readouterr().out
     assert printed.rstrip().endswith(
         "re-solves hit the iteration cap; 4 re_range_violations; "
-        "6 var_violations)"), printed
+        "6 var_violations; 2 posterior_violations)"), printed
 
 
 def test_cli_seed_override(tmp_path, capsys):

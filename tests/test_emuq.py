@@ -256,9 +256,23 @@ def test_observe_stores_transition_rows():
 def test_invariant_monitors_stay_clean():
     env, agent, rng, logs = mc_setup(episodes=3)
     assert agent.re_range_violations == 0
-    assert agent.var_violations == 0
+    assert agent.var_violations == agent.posterior_violations == 0
     assert -agent.v_max <= agent.re_min <= agent.re_max <= 0.0
     assert agent.var_max_seen <= agent.v_max + 1e-9
+
+
+def test_corrupted_covariance_trips_monitors_at_episode_end():
+    # S doubled (its largest eigenvalue past 1/alpha) and given a negative
+    # eigenvalue: the next episode end counts one violation of each kind.
+    env, agent, rng, logs = mc_setup()
+    assert agent.var_violations == agent.posterior_violations == 0
+    eig, vec = np.linalg.eigh(2.0 * agent.model.S)
+    eig[0] = -1.0
+    agent.model.S = (vec * eig) @ vec.T
+    agent.end_episode(0.1, rng)
+    stats = agent.run_stats()
+    assert stats["var_violations"] == stats["posterior_violations"] == 1
+    assert stats["var_max_seen"] > 1.9 * agent.v_max
 
 
 def test_visited_region_has_lower_exploration_reward():
@@ -279,15 +293,37 @@ def expectation_actions(agent):
     return (low + (high - low) * (np.arange(k) + 0.5) / k)[:, None]
 
 
-def test_recompute_exploration_rewards_matches_brute_force():
-    env, agent, rng, logs = mc_setup()
+# env name, env params, agent params and the r_e tolerance: 1e-12
+# absolute where V_max = 10, 1e-12 * V_max on pendulum (V_max = 1000)
+RECOMPUTE_CASES = {
+    "mountaincar": ("mountaincar", {},
+                    dict(alpha=0.1, n_features=64, lengthscale_state=0.3,
+                         lengthscale_action=10.0), 1e-12),
+    "pendulum": ("pendulum", {},
+                 dict(alpha=0.001, n_features=300, lengthscale_state=0.3,
+                      lengthscale_action=0.3), 1e-9),
+    "chain": ("chain", dict(n_states=8, vector_obs=True),
+              dict(alpha=0.1, n_features=64, lengthscale_state=0.1,
+                   lengthscale_action=0.6), 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOMPUTE_CASES))
+def test_recompute_exploration_rewards_matches_brute_force(case):
+    env_name, env_params, agent_params, atol = RECOMPUTE_CASES[case]
+    env = make_env(env_name, max_episode_steps=40, **env_params)
+    env_rng, rng, _ = seed_streams(0, 7)
+    agent = EmuQ(env.spec, EmuqConfig(gamma=0.99, beta=1.0, **agent_params),
+                 rng)
+    run_episode(env, agent, env_rng, rng, kappa=0.1)
     next_states = agent.state_arrays()["next_obs"]
     proj = agent.fmap.state_projection(next_states)
     recomputed = agent._recompute_exploration_rewards(np.cos(proj),
                                                       np.sin(proj))
     per_step = [agent.exploration_reward(ns, rng) for ns in next_states]
-    assert min(per_step) < -0.1        # the covariance has learned something
-    npt.assert_allclose(per_step, recomputed, rtol=0.0, atol=1e-12)
+    # the covariance has learned something
+    assert min(per_step) < -0.1 * agent.v_max
+    npt.assert_allclose(per_step, recomputed, rtol=0.0, atol=atol)
 
     # one plain loop per state over explicit embeddings of the fixed set
     c = agent.config
@@ -298,7 +334,7 @@ def test_recompute_exploration_rewards_matches_brute_force():
         phi = agent.fmap.embed_pairs(np.tile(ns, (len(actions), 1)), actions)
         quad = np.einsum("ij,ij->i", phi @ C, phi)
         want.append(np.clip(np.mean(quad) / c.beta, -agent.v_max, 0.0))
-    npt.assert_allclose(per_step, want, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(per_step, want, rtol=0.0, atol=atol)
 
 
 def test_sweep_bookkeeping_and_consistency():
@@ -376,6 +412,29 @@ def test_state_arrays_roundtrip_bitwise():
     actions = probe.uniform(-1, 1, size=(50, 1))
     npt.assert_array_equal(fresh.fmap.embed_pairs(states, actions),
                            agent.fmap.embed_pairs(states, actions))
+
+
+def test_fortran_ordered_covariance_keeps_updating_after_load(tmp_path):
+    # A checkpoint may hold S in Fortran order, which loading keeps; the
+    # in-place rank-1 update must still reach the installed covariance.
+    env, agent, rng, logs = mc_setup(episodes=2)
+    arrays = dict(agent.state_arrays())
+    arrays["S"] = np.asfortranarray(arrays["S"])
+    path = tmp_path / "arrays.npz"
+    np.savez(path, **arrays)
+    loaded = EmuQ(env.spec, agent.config, None)
+    with np.load(path) as data:
+        loaded.load_state_arrays(data)
+    assert not loaded.model.S.flags.c_contiguous
+    state = arrays["next_obs"][-1]
+    loaded.observe(Transition(state=state, action=np.array([0.5]),
+                              reward=-1.0, next_state=state,
+                              absorbing=False), 0.1, rng)
+    Phi = loaded.state_arrays()["phi_rows"]
+    assert len(Phi) == logs[0].steps + logs[1].steps + 1
+    S_exact, _ = exact_posterior(Phi, np.zeros(len(Phi)), agent.config.alpha,
+                                 agent.config.beta)
+    assert np.max(np.abs(loaded.model.S - S_exact)) <= 1e-9
 
 
 # -- episode-end re-solve ----------------------------------------------
