@@ -6,45 +6,39 @@ the steps it needs to touch the goal for the first time.  A plain
 epsilon-greedy learner gets the longest chain as a contrast; with no
 shaped reward before the goal its early behavior is a random walk, and
 the expected hitting time of a random walk grows quadratically with
-chain length.
+chain length.  Envs and agents come from the checked-in configs
+(``chain_emuq_scaling_n{10,20,40}``, ``chain_epsilon_greedy_n40``), each
+run for at most its config's episodes.
 
-Takes about a minute.  Seeds are fixed, reruns print identical numbers.
+Takes a few seconds.  Seeds are fixed, reruns print identical numbers.
 """
+
+from pathlib import Path
 
 import numpy as np
 
+from exval.bench import load_config, make_agent
 from exval.core import run_episode, seed_streams
-from exval.emuq import EmuQ, EmuqConfig
 from exval.envs import make_env
-from exval.tabular import EpsilonGreedyAgent
+from exval.schedules import make_schedule
 
-EMUQ = dict(gamma=0.99, alpha=0.1, beta=1.0, n_features=128,
-            lengthscale_state=0.05, lengthscale_action=0.6)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(5)
 
 
-def emuq_steps_to_goal(n_states, seed):
-    env = make_env("chain", n_states=n_states, vector_obs=True,
-                   max_episode_steps=250)
-    env_rng, agent_rng, _ = seed_streams(0, seed)
-    agent = EmuQ(env.spec, EmuqConfig(**EMUQ), agent_rng)
+def steps_to_goal(config, seed):
+    """Training steps of ``config`` on ``seed`` up to and including its
+    first goal episode, or None if none of its episodes reaches the
+    goal."""
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
+    agent = make_agent(config, env, agent_rng)
+    schedule = make_schedule(config.schedule_variant,
+                             **config.schedule_params)
     steps = 0
-    for _ in range(40):
-        log = run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
-        steps += log.steps
-        if log.reached_goal:
-            return steps
-    return None
-
-
-def eps_greedy_steps_to_goal(n_states, seed, budget=30000):
-    env = make_env("chain", n_states=n_states, max_episode_steps=250)
-    env_rng, agent_rng, _ = seed_streams(0, seed)
-    agent = EpsilonGreedyAgent(n_states, 2, epsilon=0.1, lr=0.1,
-                               gamma=0.99)
-    steps = 0
-    while steps < budget:
-        log = run_episode(env, agent, env_rng, agent_rng, kappa=0.0)
+    for episode in range(config.n_episodes):
+        log = run_episode(env, agent, env_rng, agent_rng,
+                          kappa=schedule.kappa_at(episode))
         steps += log.steps
         if log.reached_goal:
             return steps
@@ -55,14 +49,18 @@ def main():
     print("steps to first goal, variance-driven agent")
     print(f"{'chain length':>14} {'per seed':>32} {'mean':>8}")
     for n in (10, 20, 40):
-        per_seed = [emuq_steps_to_goal(n, s) for s in SEEDS]
+        config = load_config(CONFIG_DIR / f"chain_emuq_scaling_n{n}.json")
+        per_seed = [steps_to_goal(config, s) for s in SEEDS]
         shown = " ".join(f"{s:>5}" for s in per_seed)
         print(f"{n:>14} {shown:>32} {np.mean(per_seed):>8.1f}")
 
     print()
-    print("epsilon-greedy on the length-40 chain, 30000-step budget")
+    baseline = load_config(CONFIG_DIR / "chain_epsilon_greedy_n40.json")
+    budget = (baseline.n_episodes
+              * baseline.env_params["max_episode_steps"])
+    print(f"epsilon-greedy on the length-40 chain, {budget}-step budget")
     for seed in SEEDS:
-        steps = eps_greedy_steps_to_goal(40, seed)
+        steps = steps_to_goal(baseline, seed)
         label = str(steps) if steps is not None else "never reached"
         print(f"  seed {seed}: {label}")
     print()

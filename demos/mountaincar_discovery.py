@@ -10,43 +10,54 @@ the slope because that is where uncertainty lives.
 
 Prints the first-goal episode for a handful of seeds, then repeats the
 experiment with exploration weight kappa = 0 to show that the model
-alone, without the uncertainty drive, does nothing useful.
+alone, without the uncertainty drive, does nothing useful.  Envs and
+agents come from the checked-in configs ``mountaincar_emuq`` and
+``mountaincar_emuq_kappa0``.
 
 Takes a minute or two.
 """
 
-from exval.core import run_episode, seed_streams
-from exval.emuq import EmuQ, EmuqConfig
-from exval.envs import make_env
+from pathlib import Path
 
-EMUQ = dict(gamma=0.99, alpha=0.1, beta=1.0, n_features=300,
-            lengthscale_state=0.3, lengthscale_action=10.0)
+from exval.bench import load_config, make_agent
+from exval.core import run_episode, seed_streams
+from exval.envs import make_env
+from exval.schedules import make_schedule
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(5)
 
 
-def first_goal_episode(seed, kappa):
-    env = make_env("mountaincar")
-    env_rng, agent_rng, _ = seed_streams(0, seed)
-    agent = EmuQ(env.spec, EmuqConfig(**EMUQ), agent_rng)
-    for ep in range(10):
-        log = run_episode(env, agent, env_rng, agent_rng, kappa=kappa)
+def first_goal_episode(config, seed):
+    """1-based episode of the first goal of ``config`` on ``seed``, or
+    None if none of its episodes reaches the goal."""
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
+    agent = make_agent(config, env, agent_rng)
+    schedule = make_schedule(config.schedule_variant,
+                             **config.schedule_params)
+    for ep in range(config.n_episodes):
+        log = run_episode(env, agent, env_rng, agent_rng,
+                          kappa=schedule.kappa_at(ep))
         if log.reached_goal:
             return ep + 1
     return None
 
 
-def show(label, kappa):
-    print(label)
+def show(label, name):
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    print(f"{label} (kappa = {config.schedule_params['kappa0']})")
     for seed in SEEDS:
-        ep = first_goal_episode(seed, kappa)
-        note = f"goal in episode {ep}" if ep else "no goal in 10 episodes"
+        ep = first_goal_episode(config, seed)
+        note = (f"goal in episode {ep}" if ep else
+                f"no goal in {config.n_episodes} episodes")
         print(f"  seed {seed}: {note}")
     print()
 
 
 def main():
-    show("uncertainty-driven (kappa = 0.1)", kappa=0.1)
-    show("ablation, exploitation only (kappa = 0.0)", kappa=0.0)
+    show("uncertainty-driven", "mountaincar_emuq")
+    show("ablation, exploitation only", "mountaincar_emuq_kappa0")
     print("Every reward before the first flag touch is zero, so the")
     print("ablated agent has nothing to maximize and never leaves the")
     print("valley floor on purpose.")

@@ -19,13 +19,16 @@ old novelty instead of passengers.
 Runs two 250-episode experiments (a few seconds each).
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from exval.bench import load_config, run_single
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = {
-    "explvalues": "configs/taxi_explvalues_target_stop.json",
-    "additive": "configs/taxi_additive_target_stop.json",
+    "explvalues": CONFIG_DIR / "taxi_explvalues_target_stop.json",
+    "additive": CONFIG_DIR / "taxi_additive_target_stop.json",
 }
 SEED = 3
 

@@ -115,7 +115,7 @@ class BayesianLinearModel:
         self.S = (self.S + self.S.T) / 2.0
 
     def centered_quadratic(self, phi):
-        """phi^T (S - alpha^{-1} I) phi, row-wise for batches.
+        """phi^T (S - alpha^{-1} I) phi for each row of a 2-D batch.
 
         Equals phi^T S phi - ||phi||^2 / alpha but evaluates to an exact
         0.0 on a fresh posterior, where S - alpha^{-1} I is the zero
@@ -125,6 +125,4 @@ class BayesianLinearModel:
         """
         phi = np.asarray(phi, dtype=float)
         centered_phi = phi @ self.S - phi * (1.0 / self.alpha)
-        if phi.ndim == 1:
-            return float(centered_phi @ phi)
         return np.einsum("ij,ij->i", centered_phi, phi)

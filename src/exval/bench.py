@@ -58,14 +58,13 @@ class ExperimentConfig:
     n_episodes: int
     n_seeds: int
     base_seed: int = 0
-    out: str | None = None
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("a config must be a JSON object")
         known = {"experiment", "env", "agent", "schedule", "n_episodes",
-                 "n_seeds", "base_seed", "out"}
+                 "n_seeds", "base_seed"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -104,7 +103,6 @@ class ExperimentConfig:
             n_episodes=n_episodes,
             n_seeds=n_seeds,
             base_seed=base_seed,
-            out=raw.get("out"),
         )
 
     def to_dict(self) -> dict:
@@ -117,7 +115,6 @@ class ExperimentConfig:
             "n_episodes": self.n_episodes,
             "n_seeds": self.n_seeds,
             "base_seed": self.base_seed,
-            **({"out": self.out} if self.out else {}),
         }
 
 
@@ -251,8 +248,6 @@ def run_rows_to_csv(config: ExperimentConfig, result: RunResult) -> str:
 def resolve_out_dir(config: ExperimentConfig, out_flag=None) -> Path:
     if out_flag:
         return Path(out_flag)
-    if config.out:
-        return Path(config.out)
     root = os.environ.get(RESULTS_DIR_VAR, "results")
     return Path(root) / config.experiment
 

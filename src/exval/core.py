@@ -74,6 +74,15 @@ def real_number(name: str, value) -> float:
     return float(value)
 
 
+def unit_interval(name: str, value) -> float:
+    """``value`` as a float in [0, 1]; anything else is a ValueError
+    naming ``name``."""
+    x = real_number(name, value)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Static description of an environment's spaces and episode cap."""

@@ -44,7 +44,7 @@ import numpy as np
 
 from .bayes import BayesianLinearModel
 from .core import (EnvSpec, Transition, checked_array, real_number,
-                   whole_number)
+                   unit_interval, whole_number)
 from .features import JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
@@ -98,7 +98,8 @@ class EmuqConfig:
     n_sweep_candidates: ClassVar[int] = 20      # policy candidates in sweeps
 
     def __post_init__(self):
-        for name in ("gamma", "alpha", "beta", "lengthscale_state",
+        self.gamma = unit_interval("gamma", self.gamma)
+        for name in ("alpha", "beta", "lengthscale_state",
                      "lengthscale_action"):
             setattr(self, name, real_number(name, getattr(self, name)))
         self.n_features = whole_number("n_features", self.n_features)
@@ -118,6 +119,9 @@ class EmuQ:
     """
 
     def __init__(self, env_spec: EnvSpec, config: EmuqConfig, rng):
+        if env_spec.action_low is not None and len(env_spec.action_low) != 1:
+            raise ValueError("continuous actions need a 1-D action box "
+                             f"(got {len(env_spec.action_low)} dimensions)")
         self.spec = env_spec
         self.config = config
         self.model = BayesianLinearModel(config.n_features, config.alpha,
@@ -155,40 +159,34 @@ class EmuQ:
 
     # -- feature helpers -------------------------------------------------
 
-    def _candidates(self, rng, n: int) -> np.ndarray:
-        """Every discrete action, or n uniform samples of the 1-D action
-        box with its two endpoints appended."""
+    def _actions(self, n: int, rng=None) -> np.ndarray:
+        """Every discrete action; for a 1-D action box, n uniform draws
+        from ``rng`` with the box's two endpoints appended, or without an
+        rng n stratified midpoints of the box."""
         if self.spec.discrete_actions:
             return np.arange(self.spec.n_actions)
         low, high = self.spec.action_low, self.spec.action_high
+        if rng is None:
+            return low + (high - low) * ((np.arange(n) + 0.5) / n)[:, None]
         cands = rng.uniform(low, high, size=(n, 1))
         return np.vstack([cands, low[None, :], high[None, :]])
 
     def _build_expectation_set(self) -> None:
         """Fix the actions r_e averages over and cache what uses them.
 
-        Every discrete action, or n_expectation_samples stratified
-        midpoints of a 1-D action box.  With Psi the K rows [ca, sa] of
-        their action projections' cos/sin, r_e reads the set only through
-        G = Psi^T Psi / K, because phi(s, a) = R(s) psi_a for a rotation
-        R(s) that is linear in psi_a, so the mean over a of
-        phi_a^T C phi_a is trace(C R G R^T).  Caches the principal
-        directions sqrt(lambda_i) w_i of G (from the SVD of Psi / sqrt(K))
-        whose eigenvalues lambda_i exceed EXPECTATION_RTOL times the
-        largest, split into cos and sin halves: the per-step r_e sums over
-        those few rows, and the episode-end recompute rebuilds G's blocks
-        from them.
+        The set is ``_actions`` without an rng: every discrete action, or
+        n_expectation_samples stratified midpoints of the 1-D action box.
+        With Psi the K rows [ca, sa] of their action projections' cos/sin,
+        r_e reads the set only through G = Psi^T Psi / K, because
+        phi(s, a) = R(s) psi_a for a rotation R(s) that is linear in
+        psi_a, so the mean over a of phi_a^T C phi_a is trace(C R G R^T).
+        Caches the principal directions sqrt(lambda_i) w_i of G (from the
+        SVD of Psi / sqrt(K)) whose eigenvalues lambda_i exceed
+        EXPECTATION_RTOL times the largest, split into cos and sin halves:
+        the per-step r_e sums over those few rows, and the episode-end
+        recompute rebuilds G's blocks from them.
         """
-        spec = self.spec
-        if spec.discrete_actions:
-            actions = np.arange(spec.n_actions)
-        else:
-            low, high = spec.action_low, spec.action_high
-            n = self.config.n_expectation_samples
-            if low.shape[0] != 1:
-                raise ValueError("continuous actions need a 1-D action box "
-                                 f"(got {low.shape[0]} dimensions)")
-            actions = low + (high - low) * ((np.arange(n) + 0.5) / n)[:, None]
+        actions = self._actions(self.config.n_expectation_samples)
         proj_a = self.fmap.action_projection(actions)
         psi = np.hstack([np.cos(proj_a), np.sin(proj_a)])
         _, sigma, vt = np.linalg.svd(psi / np.sqrt(len(actions)),
@@ -207,14 +205,12 @@ class EmuQ:
     def _choose(self, obs, kappa: float, rng):
         """(action, its (Q, U) means) maximizing Q + kappa U over a fresh
         candidate set."""
-        actions = self._candidates(rng, self.config.n_action_candidates)
+        actions = self._actions(self.config.n_action_candidates, rng)
         phi = self._pair_features(obs, actions)
         means = phi @ self.model.m                    # (K, 2)
         balanced = means[:, 0] + kappa * means[:, 1]
         idx = int(np.argmax(balanced))                # ties: first candidate
-        if self.spec.discrete_actions:
-            return int(actions[idx]), means[idx]
-        return actions[idx].copy(), means[idx]
+        return actions[idx], means[idx]
 
     def act(self, obs, kappa: float, rng):
         return self._choose(obs, kappa, rng)[0]
@@ -258,7 +254,7 @@ class EmuQ:
         """Attainable (lo, hi) value ranges for the Q and U heads.
 
         A discounted sum of per-step quantities in [lo, hi] lies in
-        [lo, hi] / (1 - gamma); at gamma >= 1 the spans are infinite,
+        [lo, hi] / (1 - gamma); at gamma = 1 the spans are infinite,
         though U, a sum of non-positive rewards, stays capped at 0.
         Projecting bootstraps there discards only impossible values, and
         it breaks the runaway feedback that bootstrapped regression
@@ -350,7 +346,7 @@ class EmuQ:
         proj_s = self.fmap.state_projection(store["next_obs"])
         Cs, Ss = np.cos(proj_s), np.sin(proj_s)
 
-        actions = self._candidates(rng, c.n_sweep_candidates)
+        actions = self._actions(c.n_sweep_candidates, rng)
         proj_a = self.fmap.action_projection(actions)
         Ca, Sa = np.cos(proj_a), np.sin(proj_a)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import EnvSpec, StepOutcome, real_number, whole_number
+from ..core import EnvSpec, StepOutcome, unit_interval, whole_number
 
 LEFT, RIGHT = 0, 1
 
@@ -34,9 +34,7 @@ class ChainEnv:
         if self.n < 2:
             raise ValueError("chain needs at least 2 states")
         if semi_sparse_p is not None:
-            semi_sparse_p = real_number("semi_sparse_p", semi_sparse_p)
-            if not 0.0 <= semi_sparse_p <= 1.0:
-                raise ValueError("semi_sparse_p must lie in [0, 1]")
+            semi_sparse_p = unit_interval("semi_sparse_p", semi_sparse_p)
         if not isinstance(vector_obs, bool):
             raise ValueError("vector_obs must be true or false, "
                              f"got {vector_obs!r}")

@@ -54,10 +54,6 @@ class RffMap:
     def n_spectral(self) -> int:
         return self.frequencies.shape[1]
 
-    @property
-    def n_features(self) -> int:
-        return 2 * self.frequencies.shape[1]
-
 
 def sample_rff(lengthscales, n_spectral: int, scheme: str = MONTE_CARLO,
                seed: int = 0) -> RffMap:
@@ -136,10 +132,6 @@ class JointRffMap:
         return cls(rff=rff, state_dim=spec.state_dim,
                    action_low=spec.action_low, action_high=spec.action_high,
                    n_actions=spec.n_actions)
-
-    @property
-    def n_features(self) -> int:
-        return self.rff.n_features
 
     @property
     def n_spectral(self) -> int:

@@ -92,7 +92,8 @@ class TargetStop:
     through ``note_eval``.  Only the count of consecutive returns
     strictly above the target is kept, and it carries across calls.
     Latching is permanent; learning continues (only exploration stops,
-    so the policy keeps refining on clean rewards).
+    so the policy keeps refining on clean rewards).  kappa0 must not be
+    0: a run's summary dates the latch by its first episode at kappa 0.
     """
 
     wants_eval = True
@@ -100,6 +101,9 @@ class TargetStop:
     def __init__(self, kappa0: float, target: float = 0.1,
                  n_eval: int = 5):
         self.kappa0 = real_number("kappa0", kappa0)
+        if self.kappa0 == 0.0:
+            raise ValueError("kappa0 must not be 0 with target_stop, "
+                             "whose latch is dated by the first kappa 0")
         self.target = real_number("target", target)
         self.n_eval = whole_number("n_eval", n_eval)
         if self.n_eval < 1:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Transition, checked_array, real_number
+from .core import Transition, checked_array, real_number, unit_interval
 
 
 def count_bonus(counts, cell: int) -> float:
@@ -91,7 +91,9 @@ class TabularAgent:
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
         self.lr = real_number("lr", lr)
-        self.gamma = real_number("gamma", gamma)
+        if not 0.0 < self.lr <= 1.0:
+            raise ValueError(f"lr must lie in (0, 1], got {lr!r}")
+        self.gamma = unit_interval("gamma", gamma)
         for name in self.TABLES:
             setattr(self, name, np.zeros((self.n_states, self.n_actions)))
 
@@ -135,7 +137,7 @@ class EpsilonGreedyAgent(TabularAgent):
     def __init__(self, n_states: int, n_actions: int, epsilon: float = 0.1,
                  lr: float = 0.1, gamma: float = 0.99):
         super().__init__(n_states, n_actions, lr, gamma)
-        self.epsilon = real_number("epsilon", epsilon)
+        self.epsilon = unit_interval("epsilon", epsilon)
 
     def act(self, obs: int, kappa: float, rng) -> int:
         if rng.random() < self.epsilon:

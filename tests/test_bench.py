@@ -247,8 +247,8 @@ def test_resolve_out_dir_precedence(tmp_path, monkeypatch):
     config = tiny_config()
     assert resolve_out_dir(config, "/tmp/somewhere") == \
         __import__("pathlib").Path("/tmp/somewhere")
-    with_out = tiny_config(out=str(tmp_path / "cfg"))
-    assert resolve_out_dir(with_out) == tmp_path / "cfg"
+    with pytest.raises(ConfigError, match="unknown config keys: .'out'"):
+        tiny_config(out=str(tmp_path / "cfg"))
     monkeypatch.setenv("EXVAL_RESULTS_DIR", str(tmp_path / "envvar"))
     assert resolve_out_dir(config) == tmp_path / "envvar" / "tiny"
     monkeypatch.delenv("EXVAL_RESULTS_DIR")
@@ -784,7 +784,7 @@ def test_emuq_checkpoint_load_does_not_import_scipy_stats(tmp_path):
         import sys
         from exval.bench import load_checkpoint
         agent, env = load_checkpoint(sys.argv[1])
-        print(type(agent).__name__, agent.fmap.n_features,
+        print(type(agent).__name__, agent.model.n_features,
               "scipy.stats" in sys.modules)
     """)
     env = dict(os.environ)
@@ -950,18 +950,9 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
             {"env": {"name": "chain",
                      "params": {"n_states": 5, "vector_obs": "false"}}},
             "bad env params: vector_obs must be true or false"),
-        "cliff fractional height": (
-            {"env": {"name": "cliff", "params": {"height": 4.5}}},
-            "bad env params: height must be a whole number"),
-        "cliff height 0": (
-            {"env": {"name": "cliff", "params": {"height": 0}}},
-            "bad env params: cliff needs at least 2 rows and 2 columns"),
-        "cliff width 1": (
-            {"env": {"name": "cliff", "params": {"width": 1}}},
-            "bad env params: cliff needs at least 2 rows and 2 columns"),
-        "cliff string width": (
-            {"env": {"name": "cliff", "params": {"width": "12"}}},
-            "bad env params: width must be a whole number"),
+        "cliff height is not a param": (
+            {"env": {"name": "cliff", "params": {"height": 4}}},
+            "unexpected keyword argument 'height'"),
         "bool max_episode_steps": (
             {"env": {"name": "cliff", "params": {"max_episode_steps": True}}},
             "bad env params: max_episode_steps must be a whole number"),
@@ -993,6 +984,22 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         "explvalues string gamma": (
             {"agent": {"kind": "explvalues", "params": {"gamma": "0.99"}}},
             "bad explvalues agent params: gamma must be a finite number"),
+        "explvalues gamma 1.5": (
+            {"agent": {"kind": "explvalues", "params": {"gamma": 1.5}}},
+            "bad explvalues agent params: gamma must lie in [0, 1]"),
+        "explvalues lr 5": (
+            {"agent": {"kind": "explvalues", "params": {"lr": 5}}},
+            "bad explvalues agent params: lr must lie in (0, 1]"),
+        "explvalues lr 0": (
+            {"agent": {"kind": "explvalues", "params": {"lr": 0}}},
+            "bad explvalues agent params: lr must lie in (0, 1]"),
+        "epsilon_greedy epsilon 2": (
+            {"agent": {"kind": "epsilon_greedy", "params": {"epsilon": 2}}},
+            "bad epsilon_greedy agent params: epsilon must lie in [0, 1]"),
+        "emuq gamma 1.5": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq", "params": {"gamma": 1.5}}},
+            "bad emuq agent params: gamma must lie in [0, 1]"),
         "bool kappa0": (
             {"schedule": {"variant": "constant", "params": {"kappa0": True}}},
             "bad schedule spec: kappa0 must be a finite number"),
@@ -1011,6 +1018,10 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
             {"env": {"name": "chain", "params": {"n_states": 5}},
              "agent": {"kind": "emuq", "params": {}}},
             "needs vector observations"),
+        "target_stop kappa0 0": (
+            {"schedule": {"variant": "target_stop",
+                          "params": {"kappa0": 0.0}}},
+            "bad schedule spec: kappa0 must not be 0 with target_stop"),
         "target_stop n_eval 0": (
             {"schedule": {"variant": "target_stop",
                           "params": {"kappa0": 1.0, "n_eval": 0}}},

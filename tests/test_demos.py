@@ -1,6 +1,6 @@
-"""The demo scripts run against the current API: the two quick ones end
-to end, the two long ones (a minute or more each) only as far as their
-imports."""
+"""The demo scripts run against the current API: the three quick ones
+end to end, and the two EmuQ ones (mountain car takes about a minute)
+as far as their imports."""
 
 import importlib.util
 import os
@@ -36,6 +36,13 @@ def test_taxi_stop_exploration_demo_runs():
     assert "explvalues agent, seed 3" in out
     assert "additive agent, seed 3" in out
     assert out.count("mean return over the final 20 episodes") == 2
+
+
+def test_chain_scaling_demo_runs():
+    out = run_demo("chain_scaling.py")
+    assert "steps to first goal, variance-driven agent" in out
+    assert "epsilon-greedy on the length-40 chain, 30000-step budget" in out
+    assert out.count("  seed ") == 5
 
 
 @pytest.mark.parametrize("name", ["chain_scaling.py",

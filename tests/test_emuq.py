@@ -110,8 +110,9 @@ def test_expectation_set_needs_a_1d_box_and_samples():
     plane = EnvSpec(state_dim=1, max_episode_steps=100,
                     action_low=np.array([-1.0, -1.0]),
                     action_high=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="1-D action box"):
-        EmuQ(plane, EmuqConfig(n_features=8), np.random.default_rng(0))
+    for rng in (np.random.default_rng(0), None):    # None: a checkpoint load
+        with pytest.raises(ValueError, match="1-D action box"):
+            EmuQ(plane, EmuqConfig(n_features=8), rng)
 
 
 def test_act_balances_heads_and_reaches_endpoints():
@@ -447,10 +448,10 @@ def record_resolves(agent):
     depends on: its candidate draw, the covariance, the weight means
     before and after, and the bootstrap bounds."""
     records, draws = [], []
-    candidates, sweep = agent._candidates, agent._sweep
+    actions, sweep = agent._actions, agent._sweep
 
-    def recording_candidates(rng, n):
-        draws.append(candidates(rng, n))
+    def recording_actions(n, rng=None):
+        draws.append(actions(n, rng))
         return draws[-1]
 
     def recording_sweep(kappa, rng):
@@ -465,7 +466,7 @@ def record_resolves(agent):
             "m": agent.model.m.copy(), "bounds": agent._boot_bounds(),
             "history": agent.sweep_history[-1]})
 
-    agent._candidates = recording_candidates
+    agent._actions = recording_actions
     agent._sweep = recording_sweep
     return records
 

@@ -40,7 +40,6 @@ def test_sample_rff_shapes_and_validation():
     assert fmap.frequencies.shape == (2, 8)
     assert fmap.input_dim == 2
     assert fmap.n_spectral == 8
-    assert fmap.n_features == 16
     assert not fmap.frequencies.flags.writeable
     with pytest.raises(ValueError):
         sample_rff([0.5, -1.0], 8)
