@@ -17,10 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from exval.bench import load_config, make_agent
+from exval.bench import build_run, load_config
 from exval.core import run_episode, seed_streams
-from exval.envs import make_env
-from exval.schedules import make_schedule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(5)
@@ -30,11 +28,8 @@ def steps_to_goal(config, seed):
     """Training steps of ``config`` on ``seed`` up to and including its
     first goal episode, or None if none of its episodes reaches the
     goal."""
-    env = make_env(config.env_name, **config.env_params)
     env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
-    agent = make_agent(config, env, agent_rng)
-    schedule = make_schedule(config.schedule_variant,
-                             **config.schedule_params)
+    env, agent, schedule = build_run(config, agent_rng)
     steps = 0
     for episode in range(config.n_episodes):
         log = run_episode(env, agent, env_rng, agent_rng,

@@ -19,10 +19,8 @@ Takes a minute or two.
 
 from pathlib import Path
 
-from exval.bench import load_config, make_agent
+from exval.bench import build_run, load_config
 from exval.core import run_episode, seed_streams
-from exval.envs import make_env
-from exval.schedules import make_schedule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(5)
@@ -31,11 +29,8 @@ SEEDS = range(5)
 def first_goal_episode(config, seed):
     """1-based episode of the first goal of ``config`` on ``seed``, or
     None if none of its episodes reaches the goal."""
-    env = make_env(config.env_name, **config.env_params)
     env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
-    agent = make_agent(config, env, agent_rng)
-    schedule = make_schedule(config.schedule_variant,
-                             **config.schedule_params)
+    env, agent, schedule = build_run(config, agent_rng)
     for ep in range(config.n_episodes):
         log = run_episode(env, agent, env_rng, agent_rng,
                           kappa=schedule.kappa_at(ep))

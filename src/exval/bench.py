@@ -72,6 +72,11 @@ class ExperimentConfig:
                     "n_seeds"):
             if key not in raw:
                 raise ConfigError(f"missing config key: {key!r}")
+        experiment = raw["experiment"]
+        if (not isinstance(experiment, str) or "/" in experiment
+                or experiment in ("", ".", "..")):
+            raise ConfigError("experiment must name one results directory "
+                              f"(no '/', '.' or '..'), got {experiment!r}")
         env = raw["env"]
         agent = raw["agent"]
         schedule = raw["schedule"]
@@ -93,7 +98,7 @@ class ExperimentConfig:
         if base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
         return ExperimentConfig(
-            experiment=str(raw["experiment"]),
+            experiment=experiment,
             env_name=env["name"],
             env_params=_params(env, "env"),
             agent_kind=agent["kind"],
@@ -149,8 +154,8 @@ def load_config(path) -> ExperimentConfig:
 def make_agent(config: ExperimentConfig, env, rng):
     """The config's agent for ``env``, the one place any agent is built.
 
-    ``rng`` seeds an EmuQ feature map; with None the map is left for
-    ``load_state_arrays`` to install.  Tabular agents draw nothing here.
+    ``rng`` seeds an EmuQ feature map; with None no map is drawn (see
+    build_run and load_checkpoint).  Tabular agents draw nothing here.
     """
     kind = config.agent_kind
     params = dict(config.agent_params)
@@ -173,6 +178,23 @@ def make_agent(config: ExperimentConfig, env, rng):
         raise ConfigError(f"bad {kind} agent params: {exc}") from None
 
 
+def build_run(config: ExperimentConfig, agent_rng=None):
+    """The config's (env, agent, schedule); bad params of any raise
+    ConfigError.  Without ``agent_rng`` no feature map is drawn, so the
+    build is cheap enough to check a config before any file is written."""
+    try:
+        env = make_env(config.env_name, **config.env_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad env params: {exc}") from None
+    agent = make_agent(config, env, agent_rng)
+    try:
+        schedule = make_schedule(config.schedule_variant,
+                                 **config.schedule_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad schedule spec: {exc}") from None
+    return env, agent, schedule
+
+
 @dataclass
 class RunResult:
     seed: int
@@ -188,16 +210,7 @@ def run_single(config: ExperimentConfig, seed: int):
     (result, trained agent)."""
     t0 = time.perf_counter()
     env_rng, agent_rng, eval_rng = seed_streams(config.base_seed, seed)
-    try:
-        env = make_env(config.env_name, **config.env_params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad env params: {exc}") from None
-    agent = make_agent(config, env, agent_rng)
-    try:
-        schedule = make_schedule(config.schedule_variant,
-                                 **config.schedule_params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schedule spec: {exc}") from None
+    env, agent, schedule = build_run(config, agent_rng)
 
     result = RunResult(seed=seed)
     for episode in range(config.n_episodes):
@@ -257,9 +270,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
     """Run seeds 0..config.n_seeds-1, write per-run CSVs plus aggregate
     and summary files.
 
-    Returns the list of RunResults in seed order.  A failure in any run
-    still flushes the completed runs' files before propagating.
+    Returns the list of RunResults in seed order.  Bad params write no
+    file; a failed run raises after the completed runs' files are written.
     """
+    build_run(config)
     out = resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -453,7 +467,7 @@ def save_checkpoint(agent, path, config: ExperimentConfig) -> None:
 
 def load_checkpoint(path):
     """Rebuild (agent, env) from a checkpoint file: the saved kind, env
-    and params pass a config file's checks, make_agent builds the agent
+    and params pass a config file's checks, build_run builds the agent
     and its load_state_arrays checks and installs the saved arrays."""
     try:
         data = np.load(path, allow_pickle=False)
@@ -478,11 +492,10 @@ def load_checkpoint(path):
                     "params": json.loads(str(data["env_params"]))},
             "agent": {"kind": str(data["kind"]),
                       "params": json.loads(str(data["agent_params"]))},
-            "schedule": {"variant": "constant"},
+            "schedule": {"variant": "constant", "params": {"kappa0": 0.0}},
             "n_episodes": 1, "n_seeds": 1})
-        env = make_env(config.env_name, **config.env_params)
-        agent = make_agent(config, env, None)
-    except (ConfigError, TypeError, ValueError) as exc:
+        env, agent, _ = build_run(config)
+    except (ConfigError, ValueError) as exc:    # ValueError: bad JSON
         raise CheckpointError(f"{path} has bad metadata: {exc}") from None
     try:
         agent.load_state_arrays(data)

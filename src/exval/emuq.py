@@ -99,10 +99,17 @@ class EmuqConfig:
 
     def __post_init__(self):
         self.gamma = unit_interval("gamma", self.gamma)
+        # All checked here: an agent built without an rng draws no map.
         for name in ("alpha", "beta", "lengthscale_state",
                      "lengthscale_action"):
-            setattr(self, name, real_number(name, getattr(self, name)))
+            value = real_number(name, getattr(self, name))
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+            setattr(self, name, value)
         self.n_features = whole_number("n_features", self.n_features)
+        if self.n_features < 2 or self.n_features % 2:
+            raise ValueError("n_features must be even and >= 2 (paired "
+                             f"cos/sin blocks), got {self.n_features}")
 
 
 class EmuQ:
@@ -113,9 +120,9 @@ class EmuQ:
     env_spec : the environment's EnvSpec (dimensions and action kind).
     config : EmuqConfig.
     rng : generator used once here to seed the frozen feature map, or
-        None to leave the map unset for ``load_state_arrays`` to install
-        a saved one (a fresh quasi-random map imports scipy.stats, most
-        of a second, only to be replaced).
+        None to leave the map unset, for ``load_state_arrays`` to install
+        a saved one or for a build that only checks the params (a fresh
+        quasi-random map imports scipy.stats, most of a second).
     """
 
     def __init__(self, env_spec: EnvSpec, config: EmuqConfig, rng):

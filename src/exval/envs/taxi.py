@@ -101,15 +101,6 @@ class TaxiEnv:
                 self.terminal[s, a] = term
         self._views = tuple(map(memoryview, self.transition_tables()))
 
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        del state["_views"]     # memoryviews do not pickle
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self._views = tuple(map(memoryview, self.transition_tables()))
-
     def reset(self, rng) -> int:
         row = int(rng.integers(5))
         col = int(rng.integers(5))

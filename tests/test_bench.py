@@ -19,7 +19,8 @@ from exval import bench
 from exval.bench import (CHECKPOINT_VERSION, CSV_HEADER, CheckpointError,
                          ConfigError,
                          ExperimentConfig, aggregate_directory,
-                         aggregate_rows, format_float, load_checkpoint,
+                         aggregate_rows, build_run, format_float,
+                         load_checkpoint,
                          load_config, make_agent, read_run_csv,
                          resolve_out_dir, run_experiment, run_rows_to_csv,
                          run_single, save_checkpoint)
@@ -27,7 +28,6 @@ from exval.cli import main
 from exval.core import run_episode, seed_streams
 from exval.emuq import SWEEP_MAX_ITERS, EmuQ
 from exval.envs import CliffEnv, MountainCarEnv, make_env
-from exval.schedules import make_schedule
 from exval.tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                            ExplorationValuesAgent)
 
@@ -146,9 +146,8 @@ def test_every_checked_in_config_builds_env_agent_and_schedule():
     assert len(paths) == 27
     for path in paths:
         config = load_config(path)
-        env = make_env(config.env_name, **config.env_params)
-        make_agent(config, env, np.random.default_rng(0))
-        make_schedule(config.schedule_variant, **config.schedule_params)
+        build_run(config, np.random.default_rng(0))
+        build_run(config)
 
 
 # -- single runs -------------------------------------------------------
@@ -272,6 +271,19 @@ def test_run_experiment_writes_everything(tmp_path):
     assert saved == config
     meta = json.loads((out / "meta.json").read_text())
     assert meta["n_seeds_completed"] == 2
+
+
+def test_run_experiment_writes_nothing_for_bad_params(tmp_path):
+    # programmatic configs skip from_dict; the build still checks them
+    config = tiny_config()
+    for field, params, message in [
+            ("env_params", {"slip_prob": 2.0}, "bad env params"),
+            ("agent_params", {"lr": 5}, "bad explvalues agent params"),
+            ("schedule_params", {"kappa0": "1"}, "bad schedule spec")]:
+        bad = dataclasses.replace(config, **{field: params})
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(bad, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists(), field
 
 
 def test_run_experiment_seed_override_and_no_checkpoints(tmp_path):
@@ -561,6 +573,8 @@ def emuq_chain_checkpoint(tmp_path_factory):
     ("env_params", lambda v: np.asarray(json.dumps({"n_states": 5})),
      "needs vector observations"),
     ("agent_params", lambda v: np.asarray(json.dumps({"n_features": 15})),
+     "bad emuq agent params: n_features must be even"),
+    ("agent_params", lambda v: np.asarray(json.dumps({"n_features": 14})),
      "array 'S' is float64 of shape (16, 16)"),
     ("S", lambda v: v[:8, :8], "array 'S' is float64 of shape (8, 8)"),
     ("m", lambda v: v[:8], "array 'm' is float64 of shape (8, 2)"),
@@ -569,7 +583,7 @@ def emuq_chain_checkpoint(tmp_path_factory):
     ("agent_params",
      lambda v: np.asarray(json.dumps({"n_features": 16, "alpha": -1})),
      "bad emuq agent params: alpha"),
-], ids=["index_chain", "n_features_15", "S_8x8", "m_8_rows",
+], ids=["index_chain", "n_features_15", "n_features_14", "S_8x8", "m_8_rows",
         "frequencies_4_columns", "negative_alpha"])
 def test_emuq_checkpoint_corrupt_and_incompatible(tmp_path, capsys,
                                                   emuq_chain_checkpoint,
@@ -924,6 +938,12 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
 def test_cli_bad_values_exit_2(tmp_path, capsys):
     emuq_car = {"name": "mountaincar", "params": {"max_episode_steps": 5}}
     cases = {
+        "empty experiment": ({"experiment": ""}, "experiment must"),
+        "null experiment": ({"experiment": None}, "experiment must"),
+        "number experiment": ({"experiment": 5}, "experiment must"),
+        "experiment outside the results root": (
+            {"experiment": "../escape"}, "experiment must"),
+        "experiment .": ({"experiment": "."}, "experiment must"),
         "n_episodes": ({"n_episodes": "ten"}, "bad run counts"),
         "fractional n_episodes": ({"n_episodes": 2.7}, "bad run counts"),
         "bool n_seeds": ({"n_seeds": True}, "bad run counts"),
@@ -1010,6 +1030,23 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
             {"env": emuq_car,
              "agent": {"kind": "emuq", "params": {"n_features": 33}}},
             "bad emuq agent params: n_features must be even"),
+        "emuq n_features 0": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq", "params": {"n_features": 0}}},
+            "bad emuq agent params: n_features must be even"),
+        "emuq lengthscale_state -0.3": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq",
+                       "params": {"lengthscale_state": -0.3}}},
+            "bad emuq agent params: lengthscale_state must be > 0"),
+        "emuq lengthscale_action 0": (
+            {"env": emuq_car,
+             "agent": {"kind": "emuq",
+                       "params": {"lengthscale_action": 0}}},
+            "bad emuq agent params: lengthscale_action must be > 0"),
+        "taxi max_episode_steps 0": (
+            {"env": {"name": "taxi", "params": {"max_episode_steps": 0}}},
+            "bad env params: max_episode_steps must be >= 1"),
         "emuq on taxi": (
             {"env": {"name": "taxi", "params": {}},
              "agent": {"kind": "emuq", "params": {}}},
@@ -1064,6 +1101,7 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, (case, err)
         assert err.startswith("error: ") and message in err, (case, err)
+        assert not (tmp_path / "out").exists(), case
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
