@@ -59,6 +59,24 @@ class ExperimentConfig:
     n_seeds: int
     base_seed: int = 0
 
+    def __post_init__(self):
+        # Here, not in from_dict, so dataclasses.replace checks them too.
+        experiment = self.experiment
+        if (not isinstance(experiment, str) or "/" in experiment
+                or experiment in ("", ".", "..")):
+            raise ConfigError("experiment must name one results directory "
+                              f"(no '/', '.' or '..'), got {experiment!r}")
+        for name in ("n_episodes", "n_seeds", "base_seed"):
+            try:
+                count = whole_number(name, getattr(self, name))
+            except ValueError as exc:
+                raise ConfigError(f"bad run counts: {exc}") from None
+            object.__setattr__(self, name, count)    # 3.0 is read as 3
+        if self.n_episodes < 1 or self.n_seeds < 1:
+            raise ConfigError("n_episodes and n_seeds must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -72,11 +90,6 @@ class ExperimentConfig:
                     "n_seeds"):
             if key not in raw:
                 raise ConfigError(f"missing config key: {key!r}")
-        experiment = raw["experiment"]
-        if (not isinstance(experiment, str) or "/" in experiment
-                or experiment in ("", ".", "..")):
-            raise ConfigError("experiment must name one results directory "
-                              f"(no '/', '.' or '..'), got {experiment!r}")
         env = raw["env"]
         agent = raw["agent"]
         schedule = raw["schedule"]
@@ -90,24 +103,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown environment {env['name']!r}")
         if agent["kind"] not in AGENT_CLASSES:
             raise ConfigError(f"unknown agent kind {agent['kind']!r}")
-        n_episodes = _count(raw, "n_episodes")
-        n_seeds = _count(raw, "n_seeds")
-        base_seed = _count(raw, "base_seed", 0)
-        if n_episodes < 1 or n_seeds < 1:
-            raise ConfigError("n_episodes and n_seeds must be >= 1")
-        if base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {base_seed}")
         return ExperimentConfig(
-            experiment=experiment,
+            experiment=raw["experiment"],
             env_name=env["name"],
             env_params=_params(env, "env"),
             agent_kind=agent["kind"],
             agent_params=_params(agent, "agent"),
             schedule_variant=schedule["variant"],
             schedule_params=_params(schedule, "schedule"),
-            n_episodes=n_episodes,
-            n_seeds=n_seeds,
-            base_seed=base_seed,
+            n_episodes=raw["n_episodes"],
+            n_seeds=raw["n_seeds"],
+            base_seed=raw.get("base_seed", 0),
         )
 
     def to_dict(self) -> dict:
@@ -121,14 +127,6 @@ class ExperimentConfig:
             "n_seeds": self.n_seeds,
             "base_seed": self.base_seed,
         }
-
-
-def _count(raw: dict, key: str, default=None) -> int:
-    """raw[key] as an int; anything but a whole number is a ConfigError."""
-    try:
-        return whole_number(key, raw.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"bad run counts: {exc}") from None
 
 
 def _params(section: dict, name: str) -> dict:

@@ -121,8 +121,7 @@ class EmuQ:
     config : EmuqConfig.
     rng : generator used once here to seed the frozen feature map, or
         None to leave the map unset, for ``load_state_arrays`` to install
-        a saved one or for a build that only checks the params (a fresh
-        quasi-random map imports scipy.stats, most of a second).
+        a saved one or for a build that only checks the params.
     """
 
     def __init__(self, env_spec: EnvSpec, config: EmuqConfig, rng):

@@ -9,12 +9,15 @@ grid's interior walls are blocked.
 
 The 500 states encode (taxi row, taxi column, passenger location,
 destination), with passenger location 4 meaning "in the taxi".  All
-transitions are deterministic, so they are precomputed into lookup
-tables once per instance; ``step`` reads them through 2-D memoryviews,
-which hand out plain Python ints, floats and bools.
+transitions are deterministic, so they are precomputed into read-only
+lookup tables once per process and shared by every instance; ``step``
+reads them through 2-D memoryviews, which hand out plain Python ints,
+floats and bools.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -48,6 +51,56 @@ def decode(state: int):
     return row, col, pass_loc, dest
 
 
+@cache
+def _tables():
+    """The (next_state, reward, terminal) tables indexed [state, action],
+    built on first use and read-only."""
+    n = 500
+    next_state = np.empty((n, 6), dtype=np.int64)
+    reward = np.zeros((n, 6))
+    terminal = np.zeros((n, 6), dtype=bool)
+    for s in range(n):
+        row, col, pass_loc, dest = decode(s)
+        for a in range(6):
+            nr, nc, np_loc = row, col, pass_loc
+            r = 0.0
+            term = False
+            if a == SOUTH:
+                nr = min(row + 1, 4)
+            elif a == NORTH:
+                nr = max(row - 1, 0)
+            elif a == EAST:
+                if frozenset({(row, col), (row, col + 1)}) not in _WALLS:
+                    nc = min(col + 1, 4)
+            elif a == WEST:
+                if frozenset({(row, col), (row, col - 1)}) not in _WALLS:
+                    nc = max(col - 1, 0)
+            elif a == PICKUP:
+                if (pass_loc < IN_TAXI
+                        and (row, col) == SPECIAL_CELLS[pass_loc]):
+                    np_loc = IN_TAXI
+                else:
+                    r = -0.1
+            else:    # DROPOFF
+                if pass_loc == IN_TAXI and (row, col) == SPECIAL_CELLS[dest]:
+                    np_loc = dest
+                    r = 1.0
+                    term = True
+                elif pass_loc == IN_TAXI and (row, col) in SPECIAL_CELLS:
+                    # Legal set-down at the wrong special cell: the
+                    # passenger leaves the taxi, penalty applies.
+                    np_loc = SPECIAL_CELLS.index((row, col))
+                    r = -0.1
+                else:
+                    r = -0.1
+            next_state[s, a] = encode(nr, nc, np_loc, dest)
+            reward[s, a] = r
+            terminal[s, a] = term
+    for table in (next_state, reward, terminal):
+        table.setflags(write=False)
+    return next_state, reward, terminal
+
+
 class TaxiEnv:
     def __init__(self, max_episode_steps: int = 500):
         self.spec = EnvSpec(
@@ -56,50 +109,8 @@ class TaxiEnv:
             n_states=500,
             n_actions=6,
         )
-        self._build_tables()
-
-    def _build_tables(self) -> None:
-        n = 500
-        self.next_state = np.empty((n, 6), dtype=np.int64)
-        self.reward = np.zeros((n, 6))
-        self.terminal = np.zeros((n, 6), dtype=bool)
-        for s in range(n):
-            row, col, pass_loc, dest = decode(s)
-            for a in range(6):
-                nr, nc, np_loc = row, col, pass_loc
-                r = 0.0
-                term = False
-                if a == SOUTH:
-                    nr = min(row + 1, 4)
-                elif a == NORTH:
-                    nr = max(row - 1, 0)
-                elif a == EAST:
-                    if frozenset({(row, col), (row, col + 1)}) not in _WALLS:
-                        nc = min(col + 1, 4)
-                elif a == WEST:
-                    if frozenset({(row, col), (row, col - 1)}) not in _WALLS:
-                        nc = max(col - 1, 0)
-                elif a == PICKUP:
-                    if pass_loc < IN_TAXI and (row, col) == SPECIAL_CELLS[pass_loc]:
-                        np_loc = IN_TAXI
-                    else:
-                        r = -0.1
-                else:    # DROPOFF
-                    if pass_loc == IN_TAXI and (row, col) == SPECIAL_CELLS[dest]:
-                        np_loc = dest
-                        r = 1.0
-                        term = True
-                    elif pass_loc == IN_TAXI and (row, col) in SPECIAL_CELLS:
-                        # Legal set-down at the wrong special cell: the
-                        # passenger leaves the taxi, penalty applies.
-                        np_loc = SPECIAL_CELLS.index((row, col))
-                        r = -0.1
-                    else:
-                        r = -0.1
-                self.next_state[s, a] = encode(nr, nc, np_loc, dest)
-                self.reward[s, a] = r
-                self.terminal[s, a] = term
-        self._views = tuple(map(memoryview, self.transition_tables()))
+        self.next_state, self.reward, self.terminal = _tables()
+        self._views = tuple(map(memoryview, _tables()))
 
     def reset(self, rng) -> int:
         row = int(rng.integers(5))

@@ -4,7 +4,10 @@ A randomized cos/sin embedding whose inner products approximate an
 anisotropic RBF kernel.  Frequencies are drawn from the kernel's
 spectral density, either by Monte-Carlo sampling or from a scrambled
 Halton sequence pushed through the inverse normal CDF (lower
-approximation error at equal feature count).
+approximation error at equal feature count).  The scrambled Halton
+points are Owen's randomized Halton sequence (Owen 2017, "A randomized
+Halton algorithm in R", arXiv:1706.02808), built here in numpy to the
+bit of scipy's ``qmc.Halton``; the map needs only ``scipy.special``.
 
 All embeddings are pure functions of their inputs and the (immutable)
 feature map, so maps can be shared freely.
@@ -12,6 +15,7 @@ feature map, so maps can be shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +59,45 @@ class RffMap:
         return self.frequencies.shape[1]
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of scipy's ``qmc.Halton(d, scramble=True,
+    seed=seed)``, bit for bit, as a C-ordered (n, d) array in [0, 1).
+
+    Dimension i writes the point index in the i-th prime base b, radix-
+    reversed, and passes each digit through its own random permutation
+    of 0..b-1 (Owen 2017).  Permutations are drawn for every digit
+    position that can still move a double, ceil(54 / log2 b) - 1 of them,
+    from one generator shared by the dimensions in order.  The digit sum
+    runs in scipy's order, so the points round as scipy's do.
+    """
+    rng = np.random.default_rng(seed)
+    points = np.empty((n, d))
+    for i, base in enumerate(_first_primes(d)):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient = np.arange(n)
+        acc = np.zeros(n)
+        b2r = 1.0 / base
+        for perm in perms:
+            acc += perm[quotient % base] * b2r
+            quotient //= base
+            b2r /= base
+        points[:, i] = acc
+    return points
+
+
 def sample_rff(lengthscales, n_spectral: int, scheme: str = MONTE_CARLO,
                seed: int = 0) -> RffMap:
     """Draw a frequency matrix for the anisotropic RBF kernel.
@@ -62,8 +105,11 @@ def sample_rff(lengthscales, n_spectral: int, scheme: str = MONTE_CARLO,
     The spectral density of exp(-1/2 ||tau/l||^2) is a zero-mean Gaussian
     with per-dimension standard deviation 1/l_i.  The quasi-random scheme
     replaces i.i.d. normal draws with a scrambled Halton sequence (distinct
-    prime base per dimension) mapped through the inverse normal CDF, which
-    reduces kernel approximation error at equal n_spectral.
+    prime base per dimension; Owen 2017, arXiv:1706.02808) mapped through
+    the inverse normal CDF, which reduces kernel approximation error at
+    equal n_spectral.  The points are built in numpy, equal bit for bit
+    to scipy's ``qmc.Halton(d, scramble=True, seed=seed)``, and mapped by
+    ``scipy.special.ndtri``, which is ``norm.ppf``.
 
     An output feature vector has length 2 * n_spectral (cos block then sin
     block), so ask for n_spectral = M/2 to get M features.
@@ -78,13 +124,13 @@ def sample_rff(lengthscales, n_spectral: int, scheme: str = MONTE_CARLO,
         rng = np.random.default_rng(seed)
         unit = rng.standard_normal((d, n_spectral))
     elif scheme == QUASI_RANDOM:
-        # scipy.stats takes most of a second to import; only this scheme
-        # needs it, so tabular runs never pay for it.
-        from scipy.stats import norm, qmc
+        # Only this scheme needs scipy, so tabular runs never load it.
+        # ndtri of the C-ordered (n_spectral, d) points, transposed,
+        # leaves the frequencies Fortran-ordered; the projection
+        # products round by that layout.
+        from scipy.special import ndtri
 
-        halton = qmc.Halton(d=d, scramble=True, seed=seed)
-        u = halton.random(n_spectral)      # (n_spectral, d) in (0, 1)
-        unit = norm.ppf(u).T
+        unit = ndtri(_scrambled_halton(d, n_spectral, seed)).T
     else:
         raise ValueError(f"unknown sampling scheme: {scheme!r}")
     freqs = unit / ls[:, None]

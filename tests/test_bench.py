@@ -286,6 +286,22 @@ def test_run_experiment_writes_nothing_for_bad_params(tmp_path):
         assert not (tmp_path / "out").exists(), field
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("experiment", "../escape", "experiment must"),
+    ("n_seeds", 0, "n_seeds must be >= 1"),
+    ("n_episodes", -3, "n_seeds must be >= 1"),
+    ("n_episodes", 2.5, "bad run counts"),
+    ("base_seed", -1, "base_seed must be >= 0")])
+def test_replaced_run_fields_are_checked(tmp_path, monkeypatch, field, value,
+                                         message):
+    # perfbench and tools/result_digests.py make configs this way
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(bench.RESULTS_DIR_VAR, str(tmp_path / "results"))
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(dataclasses.replace(tiny_config(), **{field: value}))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_experiment_seed_override_and_no_checkpoints(tmp_path):
     config = dataclasses.replace(tiny_config(), n_seeds=1)
     results = run_experiment(config, out_dir=tmp_path / "out",
@@ -752,39 +768,64 @@ def test_checkpoint_empty_emuq_store_roundtrip(tmp_path):
     assert loaded._r_abs_max == 1.0
 
 
-def test_tabular_agents_do_not_import_scipy_stats():
-    # scipy.stats costs most of a second to import; only quasi-random
-    # feature maps need it.  scipy.linalg, whose BLAS the Bayesian model
-    # updates its covariance with, stays out of a tabular run as well.
-    code = textwrap.dedent("""
+def python_in_src(code, *args):
+    """stdout words of ``code`` run in a fresh interpreter on src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+        env=env, capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_tabular_run_loads_no_scipy():
+    # Only feature maps (scipy.special) and the Bayesian model's BLAS
+    # update (scipy.linalg) use scipy; a tabular build and run load none.
+    code = """
         import dataclasses
         import sys
         import numpy as np
         import exval
         from exval.bench import load_config, make_agent, run_single
         from exval.envs import make_env
+        def scipy_loaded():
+            return any(name.split(".")[0] == "scipy" for name in sys.modules)
         config = load_config(sys.argv[1])
         env = make_env(config.env_name, **config.env_params)
         agent = make_agent(config, env, np.random.default_rng(0))
-        print(type(agent).__name__, "scipy.stats" in sys.modules)
+        print(type(agent).__name__, scipy_loaded())
         run_single(dataclasses.replace(config, n_episodes=3), 0)
-        print("scipy.linalg" in sys.modules, "scipy.stats" in sys.modules)
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
-    done = subprocess.run(
-        [sys.executable, "-c", code,
-         str(CONFIG_DIR / "taxi_explvalues_target_stop.json")],
-        env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["ExplorationValuesAgent", "False",
-                                   "False", "False"]
+        print(scipy_loaded())
+    """
+    assert python_in_src(
+        code, CONFIG_DIR / "taxi_explvalues_target_stop.json") == [
+            "ExplorationValuesAgent", "False", "False"]
 
 
-def test_emuq_checkpoint_load_does_not_import_scipy_stats(tmp_path):
-    # Loading restores the saved feature map; drawing a fresh quasi-random
-    # one first would import scipy.stats for a map that is thrown away.
+def test_emuq_build_does_not_import_scipy_stats():
+    # The quasi-random map is built in numpy and mapped by
+    # scipy.special.ndtri; building the agent as perfbench's set-up probe
+    # does draws the map without scipy.stats.
+    code = """
+        import sys
+        from exval.bench import load_config, make_agent
+        from exval.core import seed_streams
+        from exval.envs import make_env
+        config = load_config(sys.argv[1])
+        _, agent_rng, _ = seed_streams(config.base_seed, 0)
+        env = make_env(config.env_name, **config.env_params)
+        agent = make_agent(config, env, agent_rng)
+        print(type(agent).__name__, 2 * agent.fmap.n_spectral,
+              "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+    """
+    assert python_in_src(code, CONFIG_DIR / "mountaincar_emuq.json") == [
+        "EmuQ", "300", "True", "False"]
+
+
+def test_emuq_checkpoint_load_does_not_import_scipy_special(tmp_path):
+    # Loading installs the saved feature map and draws none.
     config = tiny_config(
         env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
         agent={"kind": "emuq",
@@ -794,21 +835,14 @@ def test_emuq_checkpoint_load_does_not_import_scipy_stats(tmp_path):
     _, agent = run_single(config, 0)
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
-    code = textwrap.dedent("""
+    code = """
         import sys
         from exval.bench import load_checkpoint
         agent, env = load_checkpoint(sys.argv[1])
         print(type(agent).__name__, agent.model.n_features,
-              "scipy.stats" in sys.modules)
-    """)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
-    done = subprocess.run([sys.executable, "-c", code, str(path)],
-                          env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout.split() == ["EmuQ", "32", "False"]
+              "scipy.special" in sys.modules)
+    """
+    assert python_in_src(code, path) == ["EmuQ", "32", "False"]
 
 
 # -- CLI ---------------------------------------------------------------

@@ -296,6 +296,15 @@ def test_taxi_moves_never_pay():
     assert not env.terminal[:, :4].any()
 
 
+def test_taxi_tables_are_shared_and_read_only():
+    first, second = TaxiEnv(), TaxiEnv(max_episode_steps=50)
+    for mine, theirs in zip(first.transition_tables(),
+                            second.transition_tables()):
+        assert mine is theirs
+        with pytest.raises(ValueError, match="read-only"):
+            mine[0, 0] = mine[0, 1]
+
+
 def test_taxi_step_returns_plain_table_entries():
     env = TaxiEnv()
     for s in range(500):

@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from exval.core import EnvSpec
-from exval.features import (MONTE_CARLO, QUASI_RANDOM, kernel_exact,
-                            make_joint_map, rff_embed, sample_rff)
+from exval.features import (MONTE_CARLO, QUASI_RANDOM, _scrambled_halton,
+                            kernel_exact, make_joint_map, rff_embed,
+                            sample_rff)
 
 
 def discrete_spec(state_dim, n_actions):
@@ -67,6 +68,34 @@ def test_sampling_is_seed_deterministic():
     c = sample_rff([0.3], 64, QUASI_RANDOM, seed=12)
     npt.assert_array_equal(a.frequencies, b.frequencies)
     assert np.any(a.frequencies != c.frequencies)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 63 - 1])
+@pytest.mark.parametrize("n", [1, 7, 150, 20000])
+def test_scrambled_halton_is_scipys_bit_for_bit(n, seed):
+    from scipy.stats import qmc
+
+    for d in range(1, 7):
+        points = _scrambled_halton(d, n, seed)
+        expected = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+        assert points.shape == expected.shape == (n, d)
+        npt.assert_array_equal(points.view(np.uint64),
+                               expected.view(np.uint64))
+
+
+def test_quasi_random_frequencies_are_fortran_ordered_and_read_only():
+    # The projection products round by the matrix's layout: a C-ordered
+    # matrix of equal values changes EmuQ results.
+    from scipy.stats import norm, qmc
+
+    ls = np.array([0.3, 0.3, 10.0])
+    freqs = sample_rff(ls, 150, QUASI_RANDOM, seed=7).frequencies
+    expected = norm.ppf(qmc.Halton(d=3, scramble=True, seed=7)
+                        .random(150)).T / ls[:, None]
+    npt.assert_array_equal(freqs, expected)
+    assert freqs.strides == expected.strides
+    assert freqs.flags.f_contiguous and not freqs.flags.c_contiguous
+    assert not freqs.flags.writeable
 
 
 def test_rff_embedding_has_unit_norm():
