@@ -16,8 +16,12 @@ second-moment matrix, so the agent caches that matrix's principal
 directions and sums the variance over them instead of averaging it over
 the set: 5 rows in place of the 64 actions on the mountain-car configs,
 12 on pendulum, at most one per action when discrete.  Actions maximize
-Q + kappa * U over a candidate set drawn per call (all actions when
-discrete, uniform box samples plus endpoints when continuous).
+Q + kappa * U over a candidate set: at learning steps a fixed grid built
+with the expectation set (all actions when discrete, stratified box
+midpoints plus both endpoints when continuous), whose action cos/sin
+are cached so that its values at s' take two small products from one
+state projection; in ``act`` a set drawn per call (all actions, or
+uniform box samples plus endpoints).
 
 Per step the posterior absorbs the transition through a rank-1 update
 with bootstrapped targets.  The bootstrap is taken at the action chosen
@@ -30,9 +34,10 @@ stale per-step targets get corrected.  The re-solve takes exact Newton
 (LSTD) steps, each one linear solve with the greedy action and clipping
 of every stored row held fixed, as in least-squares policy iteration;
 if the greedy pattern keeps cycling it goes on with plain fixed-point
-steps.  After the re-solve the covariance's eigenvalues are checked: the
-largest bounds every unit-norm feature's predictive variance by V_max,
-and the smallest must stay positive.
+steps, and takes a Newton step again whenever two plain steps in a row
+see the same pattern.  After the re-solve the covariance's eigenvalues
+are checked: the largest bounds every unit-norm feature's predictive
+variance by V_max, and the smallest must stay positive.
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ from .features import JointRffMap, RffMap, make_joint_map
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
 SYMMETRIZE_EVERY = 1000
 # Episode-end re-solve: at most NEWTON_STEPS exact Newton steps, then
-# plain fixed-point steps; stop once no weight moves by more than
-# SWEEP_TOL, or after SWEEP_MAX_ITERS iterations of either kind.
+# plain fixed-point steps, each followed by one Newton step when its
+# pattern repeats the step before; stop once no weight moves by more
+# than SWEEP_TOL, or after SWEEP_MAX_ITERS iterations of any kind.
 SWEEP_TOL = 1e-6
 SWEEP_MAX_ITERS = 200
 NEWTON_STEPS = 10
@@ -178,19 +184,25 @@ class EmuQ:
         return np.vstack([cands, low[None, :], high[None, :]])
 
     def _build_expectation_set(self) -> None:
-        """Fix the actions r_e averages over and cache what uses them.
+        """Fix the actions r_e averages over and the learning steps'
+        candidate grid, and cache what uses them.
 
-        The set is ``_actions`` without an rng: every discrete action, or
-        n_expectation_samples stratified midpoints of the 1-D action box.
-        With Psi the K rows [ca, sa] of their action projections' cos/sin,
-        r_e reads the set only through G = Psi^T Psi / K, because
-        phi(s, a) = R(s) psi_a for a rotation R(s) that is linear in
-        psi_a, so the mean over a of phi_a^T C phi_a is trace(C R G R^T).
-        Caches the principal directions sqrt(lambda_i) w_i of G (from the
-        SVD of Psi / sqrt(K)) whose eigenvalues lambda_i exceed
-        EXPECTATION_RTOL times the largest, split into cos and sin halves:
-        the per-step r_e sums over those few rows, and the episode-end
-        recompute rebuilds G's blocks from them.
+        The expectation set is ``_actions`` without an rng: every
+        discrete action, or n_expectation_samples stratified midpoints of
+        the 1-D action box.  With Psi the K rows [ca, sa] of their action
+        projections' cos/sin, r_e reads the set only through
+        G = Psi^T Psi / K, because phi(s, a) = R(s) psi_a for a rotation
+        R(s) that is linear in psi_a, so the mean over a of
+        phi_a^T C phi_a is trace(C R G R^T).  Caches the principal
+        directions sqrt(lambda_i) w_i of G (from the SVD of
+        Psi / sqrt(K)) whose eigenvalues lambda_i exceed EXPECTATION_RTOL
+        times the largest, split into cos and sin halves: the per-step
+        r_e sums over those few rows, and the episode-end recompute
+        rebuilds G's blocks from them.
+
+        The grid is every discrete action, or n_action_candidates
+        stratified midpoints of the box plus both endpoints; its action
+        cos/sin are cached with it for ``_choose``.
         """
         actions = self._actions(self.config.n_expectation_samples)
         proj_a = self.fmap.action_projection(actions)
@@ -201,25 +213,45 @@ class EmuQ:
         rows = sigma[keep, None] * vt[keep]
         self._expect_rows = np.hsplit(rows, 2)
 
-    def _pair_features(self, obs, actions) -> np.ndarray:
-        """Feature rows of one state paired with each action in turn."""
-        states = np.broadcast_to(obs, (len(actions), self.spec.state_dim))
-        return self.fmap.embed_pairs(states, actions)
+        grid = self._actions(self.config.n_action_candidates)
+        if not self.spec.discrete_actions:
+            grid = np.vstack([grid, self.spec.action_low,
+                              self.spec.action_high])
+        proj_g = self.fmap.action_projection(grid)
+        self._grid = grid, np.cos(proj_g), np.sin(proj_g)
 
     # -- acting ----------------------------------------------------------
 
-    def _choose(self, obs, kappa: float, rng):
-        """(action, its (Q, U) means) maximizing Q + kappa U over a fresh
-        candidate set."""
-        actions = self._actions(self.config.n_action_candidates, rng)
-        phi = self._pair_features(obs, actions)
-        means = phi @ self.model.m                    # (K, 2)
+    def _choose(self, obs, kappa: float, actions, ca, sa):
+        """(action, its (Q, U) means) maximizing Q + kappa U over the
+        candidate ``actions``, whose action projections have cos ``ca``
+        and sin ``sa`` (K x M/2); ties go to the first candidate.
+
+        By the angle-sum identities both heads' values at every candidate
+        come from obs's one state projection (cs, ss) in two products:
+        phi(s, a)^T m = (ca . (cs m_c + ss m_s) + sa . (cs m_s - ss m_c))
+        / sqrt(M/2), with m_c, m_s the cos and sin halves of m.
+        """
+        h = self.fmap.n_spectral
+        proj_s = self.fmap.state_projection(obs)[0, :, None]
+        cs, ss = np.cos(proj_s), np.sin(proj_s)
+        mc, ms = self.model.m[:h], self.model.m[h:]
+        means = (ca @ (cs * mc + ss * ms) + sa @ (cs * ms - ss * mc)) \
+            / np.sqrt(h)                              # (K, 2)
         balanced = means[:, 0] + kappa * means[:, 1]
         idx = int(np.argmax(balanced))                # ties: first candidate
         return actions[idx], means[idx]
 
     def act(self, obs, kappa: float, rng):
-        return self._choose(obs, kappa, rng)[0]
+        """The action maximizing Q + kappa U at ``obs`` over a candidate
+        set drawn here from ``rng``: every discrete action, or
+        n_action_candidates uniform box samples plus both endpoints.
+        Learning steps choose over the fixed grid instead (``observe``);
+        this runs at an episode's first step and in evaluation."""
+        actions = self._actions(self.config.n_action_candidates, rng)
+        proj_a = self.fmap.action_projection(actions)
+        return self._choose(obs, kappa, actions, np.cos(proj_a),
+                            np.sin(proj_a))[0]
 
     # -- exploration reward ----------------------------------------------
 
@@ -278,19 +310,26 @@ class EmuQ:
     def observe(self, tr: Transition, kappa: float, rng):
         """Fold one transition into the posterior and the store.
 
-        Returns the action chosen at ``tr.next_state``, whose values gave
-        the bootstrap, for the runner to play next; None when the
-        transition absorbs.
+        Returns the action chosen at ``tr.next_state`` from the fixed
+        candidate grid, whose values gave the bootstrap, for the runner to
+        play next; None when the transition absorbs.  The stored row
+        phi(s, a) comes from s's state projection and a's action
+        projection by the angle-sum identities.
         """
         c = self.config
         self._r_abs_max = max(self._r_abs_max, abs(float(tr.reward)))
-        phi = self._pair_features(tr.state, [tr.action])[0]
+        proj_s = self.fmap.state_projection(tr.state)
+        proj_a = self.fmap.action_projection([tr.action])
+        phi = angle_sum_rows(np.cos(proj_s), np.sin(proj_s),
+                             np.cos(proj_a), np.sin(proj_a))[0]
+        phi *= 1.0 / np.sqrt(self.fmap.n_spectral)
         r_e = self.exploration_reward(tr.next_state, rng)
         a_next = None
         if tr.absorbing:
             boot_q = boot_u = 0.0
         else:
-            a_next, (boot_q, boot_u) = self._choose(tr.next_state, kappa, rng)
+            a_next, (boot_q, boot_u) = self._choose(tr.next_state, kappa,
+                                                    *self._grid)
             (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
             boot_q = float(np.clip(boot_q, q_lo, q_hi))
             boot_u = float(np.clip(boot_u, u_lo, u_hi))
@@ -398,14 +437,18 @@ class EmuQ:
             solving for the fixed point under the current argmax and clip
             pattern; once the pattern repeats, T(m) = m to rounding.  The
             pattern can cycle, so if they run out the loop continues with
-            plain steps m <- T(m) from the lowest-residual point seen.  The
-            head converges once no weight moves by more than SWEEP_TOL.  A
-            plain step then installs the point whose move was measured
-            (its targets are known), not one step past it, where the map
-            need not contract.  The plain phase stays although few heads
-            converge in it, because stopping at the Newton cap instead
-            left most heads of the 40-state chain unconverged and slowed
-            its learning (figures in CHANGES.md).
+            plain steps m <- T(m) from the lowest-residual point seen.
+            Once a plain step's pattern equals the step before's, the
+            plain steps have settled on it, and one Newton step for that
+            pattern replaces the plain step (a plain step is taken if that
+            system is singular); NEWTON_STEPS bounds only the Newton steps
+            before the first plain one.  The head converges once no weight
+            moves by more than SWEEP_TOL.  A plain step then installs the
+            point whose move was measured (its targets are known), not one
+            step past it, where the map need not contract.  The plain
+            phase stays because stopping at the Newton cap instead left
+            most heads of the 40-state chain unconverged and slowed its
+            learning (figures in CHANGES.md).
 
             If values leave the finite range the head falls back to its
             incremental per-step fit (m0, t0) rather than installing
@@ -415,6 +458,7 @@ class EmuQ:
             t_m = None                    # targets of m, once m = S t_m
             newton = True
             best_delta, best_next = np.inf, None
+            pattern = None                # the plain step before's
             with np.errstate(over="ignore", invalid="ignore"):
                 for it in range(SWEEP_MAX_ITERS):
                     values = pair_values(m)
@@ -434,6 +478,14 @@ class EmuQ:
                             return m_new, t, it + 1, True
                         return m, t_m, it + 1, True
                     if not newton:
+                        seen, pattern = pattern, np.append(k_star,
+                                                           boot == raw)
+                        if seen is not None and np.array_equal(seen, pattern):
+                            m_newton = newton_step(targets, k_star, raw,
+                                                   boot)
+                            if m_newton is not None:
+                                m, t_m = m_newton, None
+                                continue
                         m, t_m = m_new, t
                         continue
                     if delta < best_delta:

@@ -59,12 +59,19 @@ def test_pair_value_matrix_matches_explicit_embeddings(discrete):
 # -- stub feature map for exact-value tests ----------------------------
 
 
-class LinearActionMap:
-    """phi(s, a) = [a, 1] for a scalar action."""
+class AngleActionMap:
+    """phi(s, a) = [cos t, sin t] with t = pi (a + 2) / 8, which runs over
+    [0, pi/2] as a scalar action runs over [-2, 2]; every state projects
+    to angle 0."""
 
-    def embed_pairs(self, states, actions):
-        a = np.asarray(actions, dtype=float).reshape(-1)
-        return np.column_stack([a, np.ones_like(a)])
+    n_spectral = 1
+
+    def state_projection(self, states):
+        return np.zeros((len(np.atleast_2d(states)), 1))
+
+    def action_projection(self, actions):
+        a = np.asarray(actions, dtype=float).reshape(-1, 1)
+        return np.pi * (a + 2.0) / 8.0
 
 
 def discrete_spec(n_actions=2):
@@ -116,13 +123,14 @@ def test_expectation_set_needs_a_1d_box_and_samples():
 
 
 def test_act_balances_heads_and_reaches_endpoints():
-    # Q(a) = a and U(a) = -a on stub features: exploitation drives to the
-    # upper action bound, enough exploration weight flips to the lower.
+    # Q(a) = -cos t and U(a) = cos t on stub features, increasing and
+    # decreasing in a: exploitation drives to the upper action bound,
+    # enough exploration weight flips to the lower.
     cfg = EmuqConfig(n_features=2)
     agent = EmuQ(box_spec(), cfg, np.random.default_rng(0))
-    agent.fmap = LinearActionMap()
+    agent.fmap = AngleActionMap()
     agent.model = BayesianLinearModel(2, 1.0, 1.0, n_heads=2)
-    agent.model.m = np.array([[1.0, -1.0], [0.0, 0.0]])
+    agent.model.m = np.array([[-1.0, 1.0], [0.0, 0.0]])
     rng = np.random.default_rng(3)
     npt.assert_array_equal(agent.act(np.array([0.0]), 0.0, rng), [2.0])
     npt.assert_array_equal(agent.act(np.array([0.0]), 2.0, rng), [-2.0])
@@ -134,6 +142,75 @@ def test_act_discrete_first_index_on_ties():
     rng = np.random.default_rng(4)
     # fresh model scores every action 0, so the tie goes to action 0
     assert agent.act(np.array([0.5]), 1.0, rng) == 0
+
+
+def grid_actions(spec, k):
+    """The learning steps' candidate grid, rebuilt from its definition:
+    every discrete action, or k stratified midpoints of the 1-D box and
+    then both endpoints."""
+    if spec.discrete_actions:
+        return np.arange(spec.n_actions)
+    low, high = spec.action_low[0], spec.action_high[0]
+    mid = low + (high - low) * ((np.arange(k) + 0.5) / k)
+    return np.concatenate([mid, [low, high]])[:, None]
+
+
+def brute_force_choice(agent, state, kappa, actions):
+    """(first argmax of Q + kappa U over ``actions``, every (Q, U) value),
+    from explicit embeddings."""
+    phi = agent.fmap.embed_pairs(np.tile(state, (len(actions), 1)), actions)
+    values = phi @ agent.model.m
+    return int(np.argmax(values[:, 0] + kappa * values[:, 1])), values
+
+
+def index_in(actions, action):
+    (idx,) = [k for k in range(len(actions))
+              if np.array_equal(np.atleast_1d(actions[k]),
+                                np.atleast_1d(action))][:1]
+    return idx
+
+
+@pytest.mark.parametrize("spec", [discrete_spec(5), box_spec()],
+                         ids=["discrete", "box"])
+def test_learning_steps_choose_over_the_fixed_grid(spec):
+    cfg = EmuqConfig(n_features=64)
+    agent = EmuQ(spec, cfg, np.random.default_rng(0))
+    grid = grid_actions(spec, cfg.n_action_candidates)
+    npt.assert_array_equal(agent._grid[0], grid)
+    rng = np.random.default_rng(1)
+
+    def step_to(state_next):
+        tr = Transition(state=np.array([0.2]), action=grid[1], reward=0.0,
+                        next_state=state_next, absorbing=False)
+        return agent.observe(tr, kappa, rng)
+
+    # a fresh model scores every candidate 0: the tie goes to the first
+    kappa = 0.7
+    npt.assert_array_equal(step_to(np.array([0.4])), grid[0])
+    draw = np.random.default_rng(2)
+    chosen = set()
+    for state_next in draw.uniform(0.0, 1.0, size=(30, 1)):
+        agent.model.m = draw.standard_normal((cfg.n_features, 2))
+        want, values = brute_force_choice(agent, state_next, kappa, grid)
+        _, means = agent._choose(state_next, kappa, *agent._grid)
+        npt.assert_allclose(means, values[want], rtol=0.0, atol=1e-12)
+        got = index_in(grid, step_to(state_next))     # then learns
+        assert got == want
+        chosen.add(got)
+    assert len(chosen) > 1
+
+    # act keeps drawing its candidates from its rng
+    for seed in range(5):
+        state = draw.uniform(0.0, 1.0, size=1)
+        got = agent.act(state, kappa, np.random.default_rng(seed))
+        if spec.discrete_actions:
+            cands = grid
+        else:
+            low, high = spec.action_low, spec.action_high
+            cands = np.vstack([np.random.default_rng(seed).uniform(
+                low, high, size=(cfg.n_action_candidates, 1)), [low, high]])
+        want, _ = brute_force_choice(agent, state, kappa, cands)
+        assert index_in(cands, got) == want
 
 
 def test_boot_bounds_arithmetic():
@@ -570,6 +647,28 @@ def test_one_action_choice_per_state_while_learning(mountaincar_resolves):
 def test_resolve_reaches_its_fixed_point(mountaincar_resolves):
     agent, records, _ = mountaincar_resolves
     assert [rec["kappa"] for rec in records] == [0.1, 0.1, 0.0]
+    for rec in records:
+        assert rec["history"]["converged_q"], rec["history"]
+        assert rec["history"]["converged_u"], rec["history"]
+        res_q, res_u = resolve_residuals(agent, rec)
+        assert res_q <= 1e-6 and res_u <= 1e-6, (rec["history"], res_q,
+                                                  res_u)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_resolve_converges_once_plain_steps_take_newton_steps(seed):
+    # Plain steps that settle on one argmax and clip pattern take a
+    # Newton step for it, so no head of the shipped mountain-car config
+    # is left at the iteration cap over its first episodes.
+    config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
+    agent = make_agent(config, env, agent_rng)
+    records = record_resolves(agent)
+    for _ in range(4):
+        run_episode(env, agent, env_rng, agent_rng,
+                    kappa=config.schedule_params["kappa0"])
+    assert len(records) == 4
     for rec in records:
         assert rec["history"]["converged_q"], rec["history"]
         assert rec["history"]["converged_u"], rec["history"]
