@@ -31,7 +31,7 @@ from .schedules import make_schedule
 from .tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                       ExplorationValuesAgent)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 RESULTS_DIR_VAR = "EXVAL_RESULTS_DIR"
 CSV_HEADER = ["run_id", "seed", "episode", "steps", "return", "kappa",
               "reached_goal", "first_goal_flag"]
@@ -90,15 +90,17 @@ class ExperimentConfig:
                     "n_seeds"):
             if key not in raw:
                 raise ConfigError(f"missing config key: {key!r}")
+        for section, key in (("env", "name"), ("agent", "kind"),
+                             ("schedule", "variant")):
+            if not isinstance(raw[section], dict) or key not in raw[section]:
+                raise ConfigError(
+                    f"{section} must be an object with a {key!r}")
+            if not isinstance(raw[section][key], str):
+                raise ConfigError(f"{section} {key} must be a string, "
+                                  f"got {raw[section][key]!r}")
         env = raw["env"]
         agent = raw["agent"]
         schedule = raw["schedule"]
-        if not isinstance(env, dict) or "name" not in env:
-            raise ConfigError("env must be an object with a 'name'")
-        if not isinstance(agent, dict) or "kind" not in agent:
-            raise ConfigError("agent must be an object with a 'kind'")
-        if not isinstance(schedule, dict) or "variant" not in schedule:
-            raise ConfigError("schedule must be an object with a 'variant'")
         if env["name"] not in env_names():
             raise ConfigError(f"unknown environment {env['name']!r}")
         if agent["kind"] not in AGENT_CLASSES:
@@ -139,14 +141,22 @@ def _params(section: dict, name: str) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in the JSON file at ``path``, the one config-file
+    reader; ConfigError names ``path`` if the file cannot be opened or
+    decoded or does not hold a valid config."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(raw)
+    except OSError as exc:                  # a directory, say
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except ValueError as exc:               # bad UTF-8 or bad JSON
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return ExperimentConfig.from_dict(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def make_agent(config: ExperimentConfig, env, rng):
@@ -318,26 +328,29 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
 def read_run_csv(path):
     """Parse one per-run CSV back into (seed, rows).
 
-    A file with a wrong or missing header, without rows, or with a row
-    that is short or not numeric raises ConfigError naming the file.
+    A file that is not UTF-8 text, with a wrong or missing header,
+    without rows, or with a row that is short or not numeric raises
+    ConfigError naming the file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        rows = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise ConfigError(f"{path} line {line}: {len(row)} columns, "
-                                  f"expected {len(CSV_HEADER)}")
-            _, s, episode, steps, ret, kappa, reached, first = row
-            try:
-                seed = int(s)
-                rows.append((int(episode), int(steps), float(ret),
-                             float(kappa), int(reached), int(first)))
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {line}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not table or table[0] != CSV_HEADER:
+        raise ConfigError(f"unexpected CSV header in {path}")
+    rows = []
+    for line, row in enumerate(table[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise ConfigError(f"{path} line {line}: {len(row)} columns, "
+                              f"expected {len(CSV_HEADER)}")
+        _, s, episode, steps, ret, kappa, reached, first = row
+        try:
+            seed = int(s)
+            rows.append((int(episode), int(steps), float(ret),
+                         float(kappa), int(reached), int(first)))
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {line}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path} has no rows")
     return seed, rows
@@ -426,37 +439,32 @@ def write_aggregates(out: Path, config: ExperimentConfig, results) -> dict:
 
 
 def aggregate_directory(in_dir) -> dict:
-    """Recompute aggregate.csv and summary.csv from the per-run CSVs."""
+    """Recompute aggregate.csv and summary.csv from config.json and the
+    per-run CSVs; two CSVs of one seed raise ConfigError naming both."""
     in_dir = Path(in_dir)
-    config_path = in_dir / "config.json"
-    if not config_path.exists():
-        raise ConfigError(f"no config.json in {in_dir}")
-    try:
-        raw = json.loads(config_path.read_text())
-    except ValueError as exc:       # bad JSON or bad UTF-8
-        raise ConfigError(f"{config_path} is not valid JSON: {exc}") from None
-    try:
-        config = ExperimentConfig.from_dict(raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from None
+    config = load_config(in_dir / "config.json")
     run_files = sorted(in_dir.glob("run_s*.csv"))
     if not run_files:
         raise ConfigError(f"no run CSVs in {in_dir}")
-    return write_aggregates(in_dir, config,
-                            [RunResult(*read_run_csv(path))
-                             for path in run_files])
+    files_by_seed, results = {}, []
+    for path in run_files:
+        result = RunResult(*read_run_csv(path))
+        if result.seed in files_by_seed:
+            raise ConfigError(f"{files_by_seed[result.seed]} and {path} "
+                              f"both hold seed {result.seed}")
+        files_by_seed[result.seed] = path
+        results.append(result)
+    return write_aggregates(in_dir, config, results)
 
 
 # -- checkpoints ---------------------------------------------------------
 
 def save_checkpoint(agent, path, config: ExperimentConfig) -> None:
-    """Write the agent's state_arrays plus what rebuilds agent and env."""
+    """Write the agent's state_arrays plus the run's config, which
+    rebuilds env, agent and schedule."""
     arrays = {
         "version": np.asarray(CHECKPOINT_VERSION),
-        "kind": np.asarray(config.agent_kind),
-        "env_name": np.asarray(config.env_name),
-        "env_params": np.asarray(json.dumps(config.env_params)),
-        "agent_params": np.asarray(json.dumps(config.agent_params)),
+        "config": np.asarray(json.dumps(config.to_dict())),
         **agent.state_arrays(),
     }
     with open(path, "wb") as fh:
@@ -464,37 +472,31 @@ def save_checkpoint(agent, path, config: ExperimentConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (agent, env) from a checkpoint file: the saved kind, env
-    and params pass a config file's checks, build_run builds the agent
-    and its load_state_arrays checks and installs the saved arrays."""
+    """Rebuild (agent, env) from a checkpoint file: the saved config
+    passes a config file's checks, build_run builds the agent and its
+    load_state_arrays checks and installs the saved arrays."""
     try:
         data = np.load(path, allow_pickle=False)
     except Exception as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    if "version" not in data.files:
+        raise CheckpointError(f"{path} has no version entry")
     try:
-        version = int(data["version"])
-    except KeyError:
-        raise CheckpointError(f"{path} has no version field") from None
+        version = whole_number("version", data["version"].item())
+    except ValueError as exc:   # also: not one element, or a pickled array
+        raise CheckpointError(
+            f"{path} has a bad version entry: {exc}") from None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version} unsupported "
             f"(expected {CHECKPOINT_VERSION})")
-    missing = [key for key in ("kind", "env_name", "env_params",
-                               "agent_params") if key not in data.files]
-    if missing:
-        raise CheckpointError(f"{path} is missing {', '.join(missing)}")
+    if "config" not in data.files:
+        raise CheckpointError(f"{path} has no config entry")
     try:
-        config = ExperimentConfig.from_dict({
-            "experiment": "checkpoint",
-            "env": {"name": str(data["env_name"]),
-                    "params": json.loads(str(data["env_params"]))},
-            "agent": {"kind": str(data["kind"]),
-                      "params": json.loads(str(data["agent_params"]))},
-            "schedule": {"variant": "constant", "params": {"kappa0": 0.0}},
-            "n_episodes": 1, "n_seeds": 1})
+        config = ExperimentConfig.from_dict(json.loads(str(data["config"])))
         env, agent, _ = build_run(config)
     except (ConfigError, ValueError) as exc:    # ValueError: bad JSON
-        raise CheckpointError(f"{path} has bad metadata: {exc}") from None
+        raise CheckpointError(f"{path} has a bad config: {exc}") from None
     try:
         agent.load_state_arrays(data)
     except KeyError as exc:

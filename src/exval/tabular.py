@@ -97,15 +97,6 @@ class TabularAgent:
         for name in self.TABLES:
             setattr(self, name, np.zeros((self.n_states, self.n_actions)))
 
-    def __getstate__(self) -> dict:
-        # memoryviews do not pickle; __setstate__ rebuilds them
-        return {name: value for name, value in vars(self).items()
-                if not isinstance(value, memoryview)}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-
     def greedy_policy(self):
         """The action ``act`` picks in every state at kappa = 0, as an
         int array, or None when ``act`` draws from its rng."""

@@ -27,7 +27,7 @@ from exval.bench import (CHECKPOINT_VERSION, CSV_HEADER, CheckpointError,
 from exval.cli import main
 from exval.core import run_episode, seed_streams
 from exval.emuq import SWEEP_MAX_ITERS, EmuQ
-from exval.envs import CliffEnv, MountainCarEnv, make_env
+from exval.envs import CliffEnv, MountainCarEnv, TaxiEnv, make_env
 from exval.tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                            ExplorationValuesAgent)
 
@@ -434,7 +434,8 @@ def test_aggregate_directory_recomputes(tmp_path):
 
 
 def test_aggregate_directory_errors(tmp_path):
-    with pytest.raises(ConfigError, match="no config.json"):
+    with pytest.raises(ConfigError,
+                       match="config file not found: .*config.json"):
         aggregate_directory(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(tiny_dict()))
     with pytest.raises(ConfigError, match="no run CSVs"):
@@ -476,6 +477,22 @@ def test_aggregate_bad_run_csv_exits_2_naming_file(tmp_path, capsys):
         assert "config.json" in err and cause in err, (text, err)
         assert not (out / "summary.csv").exists(), text
     (out / "config.json").write_text(json.dumps(config.to_dict()))
+
+    # a file that is not UTF-8 text names itself too
+    (out / "run_s001.csv").write_bytes(b"\xff" + good.encode())
+    assert main(["aggregate", "--in", str(out)]) == 2
+    assert "run_s001.csv" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+    # two files of one seed (run_s*.csv matches a copy) must not merge
+    # into one run; both are named
+    (out / "run_s001.csv").write_text(good)
+    (out / "run_s000 (copy).csv").write_text(good)
+    assert main(["aggregate", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "run_s000 (copy).csv" in err and "run_s000.csv" in err, err
+    assert not (out / "summary.csv").exists()
+    (out / "run_s000 (copy).csv").unlink()
 
     # a lone header-only file must not aggregate to a one-run summary
     (out / "run_s000.csv").unlink()
@@ -542,33 +559,60 @@ def test_checkpoint_corrupt_and_incompatible(tmp_path):
 
     missing = tmp_path / "missing.npz"
     np.savez(missing, version=np.asarray(CHECKPOINT_VERSION),
-             kind=np.asarray("epsilon_greedy"),
-             env_name=np.asarray("cliff"),
-             env_params=np.asarray("{}"),
-             agent_params=np.asarray("{}"))
+             config=np.asarray(json.dumps(config.to_dict())))
     with pytest.raises(CheckpointError, match="missing array"):
         load_checkpoint(missing)
 
     version_only = tmp_path / "version_only.npz"
     np.savez(version_only, version=np.asarray(CHECKPOINT_VERSION))
-    with pytest.raises(CheckpointError,
-                       match="missing kind, env_name, env_params, "
-                             "agent_params"):
+    with pytest.raises(CheckpointError, match="has no config entry"):
         load_checkpoint(version_only)
     assert main(["eval", "--checkpoint", str(version_only),
                  "--episodes", "1"]) == 2
 
     with np.load(good) as data:
         arrays = dict(data)
-    for key, value, message in [("env_params", json.dumps({"bogus": 1}),
-                                 "bad metadata"),
-                                ("kind", "dqn", "unknown agent kind")]:
-        bad = tmp_path / f"bad_{key}.npz"
-        np.savez(bad, **{**arrays, key: np.asarray(value)})
+    cliff = {"name": "cliff", "params": {"bogus": 1}}
+    for name, raw, message in [
+            ("env_params", dict(config.to_dict(), env=cliff),
+             "bad config: bad env params"),
+            ("kind", dict(config.to_dict(), agent={"kind": "dqn"}),
+             "bad config: unknown agent kind"),
+            ("not_an_object", [], "bad config: a config must be"),
+            ("no_schedule", {k: v for k, v in config.to_dict().items()
+                             if k != "schedule"},
+             "bad config: missing config key: 'schedule'")]:
+        bad = tmp_path / f"bad_{name}.npz"
+        np.savez(bad, **{**arrays, "config": np.asarray(json.dumps(raw))})
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad),
                      "--episodes", "1"]) == 2
+    bad = tmp_path / "bad_json.npz"
+    np.savez(bad, **{**arrays, "config": np.asarray("{not json")})
+    with pytest.raises(CheckpointError, match="bad config"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_stores_its_runs_config(tmp_path):
+    # the config a run was given, replaced fields and all, is what the
+    # checkpoint holds; load_checkpoint builds from it
+    config = dataclasses.replace(
+        tiny_config(env={"name": "taxi", "params": {}},
+                    schedule={"variant": "target_stop",
+                              "params": {"kappa0": 2.0, "n_eval": 3}}),
+        experiment="replaced", n_episodes=3, n_seeds=5, base_seed=7)
+    _, agent = run_single(config, 0)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(agent, path, config)
+    with np.load(path) as data:
+        assert data["version"].item() == CHECKPOINT_VERSION == 3
+        assert json.loads(str(data["config"])) == config.to_dict()
+        assert set(data.files) == {"version", "config",
+                                   *agent.state_arrays()}
+    loaded, env = load_checkpoint(path)
+    assert isinstance(env, TaxiEnv)
+    npt.assert_array_equal(loaded.q, agent.q)
 
 
 @pytest.fixture(scope="module")
@@ -585,27 +629,35 @@ def emuq_chain_checkpoint(tmp_path_factory):
         return dict(data)
 
 
+def with_params(section, params):
+    """An edit of a saved config entry that sets ``section``'s params."""
+    def edit(saved):
+        raw = json.loads(str(saved))
+        raw[section] = dict(raw[section], params=params)
+        return np.asarray(json.dumps(raw))
+    return edit
+
+
 @pytest.mark.parametrize("key, edit, message", [
-    ("env_params", lambda v: np.asarray(json.dumps({"n_states": 5})),
+    ("config", with_params("env", {"n_states": 5}),
      "needs vector observations"),
-    ("agent_params", lambda v: np.asarray(json.dumps({"n_features": 15})),
+    ("config", with_params("agent", {"n_features": 15}),
      "bad emuq agent params: n_features must be even"),
-    ("agent_params", lambda v: np.asarray(json.dumps({"n_features": 14})),
+    ("config", with_params("agent", {"n_features": 14}),
      "array 'S' is float64 of shape (16, 16)"),
     ("S", lambda v: v[:8, :8], "array 'S' is float64 of shape (8, 8)"),
     ("m", lambda v: v[:8], "array 'm' is float64 of shape (8, 2)"),
     ("frequencies", lambda v: v[:, :4],
      "array 'frequencies' is float64 of shape (3, 4)"),
-    ("agent_params",
-     lambda v: np.asarray(json.dumps({"n_features": 16, "alpha": -1})),
+    ("config", with_params("agent", {"n_features": 16, "alpha": -1}),
      "bad emuq agent params: alpha"),
 ], ids=["index_chain", "n_features_15", "n_features_14", "S_8x8", "m_8_rows",
         "frequencies_4_columns", "negative_alpha"])
 def test_emuq_checkpoint_corrupt_and_incompatible(tmp_path, capsys,
                                                   emuq_chain_checkpoint,
                                                   key, edit, message):
-    # Each file was saved from a real run and then had one field or array
-    # changed; none may evaluate, and none may fail as a runtime error.
+    # Each file was saved from a real run and then had its config or one
+    # array changed; none may evaluate, and none may fail as a runtime error.
     arrays = dict(emuq_chain_checkpoint)
     arrays[key] = edit(arrays[key])
     bad = tmp_path / "bad.npz"
@@ -647,9 +699,8 @@ def test_emuq_checkpoint_ignores_arrays_it_does_not_save(
     # it holds.
     arrays = emuq_chain_checkpoint
     assert set(arrays) == {
-        "version", "kind", "env_name", "env_params", "agent_params",
-        "S", "m", "t", "frequencies", "phi_rows", "rewards", "next_obs",
-        "absorbing"}
+        "version", "config", "S", "m", "t", "frequencies", "phi_rows",
+        "rewards", "next_obs", "absorbing"}
     good = tmp_path / "good.npz"
     np.savez(good, **arrays)
     padded = tmp_path / "padded.npz"
@@ -673,6 +724,26 @@ def test_checkpoint_version_1_rejected(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(old),
                  "--episodes", "1"]) == 2
     assert "version 1" in capsys.readouterr().err
+
+
+def test_checkpoint_version_2_rejected(tmp_path, capsys):
+    # version-2 files held the env and agent fields without the schedule
+    # or run counts; there is no second reader for them
+    config = tiny_config()
+    _, agent = run_single(config, 0)
+    old = tmp_path / "v2.npz"
+    np.savez(old, version=np.asarray(2),
+             kind=np.asarray(config.agent_kind),
+             env_name=np.asarray(config.env_name),
+             env_params=np.asarray(json.dumps(config.env_params)),
+             agent_params=np.asarray(json.dumps(config.agent_params)),
+             **agent.state_arrays())
+    message = "checkpoint version 2 unsupported (expected 3)"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(old)
+    assert main(["eval", "--checkpoint", str(old),
+                 "--episodes", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def taxi_checkpoint(tmp_path, edit):
@@ -984,6 +1055,16 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         "fractional base_seed": ({"base_seed": 0.5}, "bad run counts"),
         "string base_seed": ({"base_seed": "0"}, "bad run counts"),
         "negative base_seed": ({"base_seed": -1}, "base_seed must be >= 0"),
+        "list agent kind": (
+            {"agent": {"kind": ["emuq"], "params": {}}},
+            "agent kind must be a string, got ['emuq']"),
+        "number env name": (
+            {"env": {"name": 5, "params": {}}},
+            "env name must be a string, got 5"),
+        "list schedule variant": (
+            {"schedule": {"variant": ["constant"],
+                          "params": {"kappa0": 1.0}}},
+            "schedule variant must be a string, got ['constant']"),
         "list env params": (
             {"env": {"name": "chain", "params": ["abc"]}},
             "env params must be an object"),
@@ -1157,3 +1238,25 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(good), "--episodes", "1",
                  "--seed", "-1"]) == 2
     assert "--seed must be >= 0" in capsys.readouterr().err
+
+    # a config path that cannot be read or decoded is named
+    bad_utf8 = tmp_path / "bad_utf8.json"
+    bad_utf8.write_bytes(json.dumps(tiny_dict()).encode()[:-1] + b"\xff}")
+    for path in (tmp_path, bad_utf8):
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+        assert not (tmp_path / "out").exists()
+
+    # a version that is not a whole number is bad input, never cut
+    with np.load(good) as data:
+        arrays = dict(data)
+    for version in ("x", [2, 2], 2.5, True, 3.5):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**arrays, "version": np.asarray(version)})
+        with pytest.raises(CheckpointError, match="bad version entry"):
+            load_checkpoint(bad)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--episodes", "1"]) == 2, version
+        assert "bad version entry" in capsys.readouterr().err, version

@@ -1,9 +1,6 @@
 """Tabular agent tests: TD backup arithmetic, bonus bookkeeping, and the
 decision-time combination of value and exploration tables."""
 
-import copy
-import pickle
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -326,18 +323,3 @@ def test_step_path_matches_the_numpy_reference(agent_class, params):
         assert getattr(agent, name).tobytes() == tables[name].tobytes()
     assert (agent_rng.bit_generator.state
             == reference_rng.bit_generator.state)
-
-
-@pytest.mark.parametrize("agent_class", [EpsilonGreedyAgent,
-                                         AdditiveBonusAgent,
-                                         ExplorationValuesAgent])
-def test_copied_agent_steps_on_its_own_tables(agent_class):
-    agent = agent_class(2, 3, lr=1.0, gamma=1.0)
-    agent.q[1, 2] = 5.0
-    rng = np.random.default_rng(14)
-    twin = copy.deepcopy(agent)
-    twin.observe(make_tr(0, 0, 0.0, 1), 0.0, rng)
-    assert twin.q[0, 0] == 5.0 and agent.q[0, 0] == 0.0
-    restored = pickle.loads(pickle.dumps(twin))
-    restored.observe(make_tr(0, 1, 0.0, 1), 0.0, rng)
-    assert restored.q[0, 1] == 5.0 and twin.q[0, 1] == 0.0
