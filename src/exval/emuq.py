@@ -162,6 +162,8 @@ class EmuQ:
         self.var_max_seen = 0.0
         self.var_violations = 0
         self.posterior_violations = 0
+        # cos/sin of recent state projections, keyed by the state's bytes
+        self._cos_sin: dict[bytes, tuple] = {}
         if rng is None:
             return
         self.fmap = make_joint_map(
@@ -213,12 +215,31 @@ class EmuQ:
         rows = sigma[keep, None] * vt[keep]
         self._expect_rows = np.hsplit(rows, 2)
 
+        self._cos_sin = {}      # cached under the map this replaces
+
         grid = self._actions(self.config.n_action_candidates)
         if not self.spec.discrete_actions:
             grid = np.vstack([grid, self.spec.action_low,
                               self.spec.action_high])
         proj_g = self.fmap.action_projection(grid)
         self._grid = grid, np.cos(proj_g), np.sin(proj_g)
+
+    def _state_cos_sin(self, obs):
+        """cos and sin (1 x M/2 each) of ``obs``'s state projection.
+
+        The two most recent states' are cached, keyed by the state's
+        bytes: a learning step's s is the step before's s', so its stored
+        row, r_e(s') and the choice at s' take one projection, of s'.
+        """
+        key = np.asarray(obs, dtype=float).tobytes()
+        cos_sin = self._cos_sin.get(key)
+        if cos_sin is None:
+            proj_s = self.fmap.state_projection(obs)
+            cos_sin = np.cos(proj_s), np.sin(proj_s)
+            if len(self._cos_sin) == 2:
+                del self._cos_sin[next(iter(self._cos_sin))]
+            self._cos_sin[key] = cos_sin
+        return cos_sin
 
     # -- acting ----------------------------------------------------------
 
@@ -228,13 +249,13 @@ class EmuQ:
         and sin ``sa`` (K x M/2); ties go to the first candidate.
 
         By the angle-sum identities both heads' values at every candidate
-        come from obs's one state projection (cs, ss) in two products:
+        come from obs's one (cached) state projection (cs, ss) in two
+        products:
         phi(s, a)^T m = (ca . (cs m_c + ss m_s) + sa . (cs m_s - ss m_c))
         / sqrt(M/2), with m_c, m_s the cos and sin halves of m.
         """
         h = self.fmap.n_spectral
-        proj_s = self.fmap.state_projection(obs)[0, :, None]
-        cs, ss = np.cos(proj_s), np.sin(proj_s)
+        cs, ss = (half.reshape(-1, 1) for half in self._state_cos_sin(obs))
         mc, ms = self.model.m[:h], self.model.m[h:]
         means = (ca @ (cs * mc + ss * ms) + sa @ (cs * ms - ss * mc)) \
             / np.sqrt(h)                              # (K, 2)
@@ -261,15 +282,14 @@ class EmuQ:
 
         The average is exact without embedding the set: it is a sum over
         the cached principal directions of the set's second moments, each
-        rotated to s' by the angle-sum identity from one state projection
-        (see ``_build_expectation_set``).  ``rng`` is unused, as the set
+        rotated to s' by the angle-sum identity from s''s one (cached)
+        state projection (see ``_build_expectation_set``).  ``rng`` is unused, as the set
         is fixed per agent; the parameter stays because hooks around this
         method (perfbench's recording wrapper) pass the agent stream
         through it.
         """
         c = self.config
-        proj_s = self.fmap.state_projection(obs_next)
-        rows = angle_sum_rows(np.cos(proj_s), np.sin(proj_s),
+        rows = angle_sum_rows(*self._state_cos_sin(obs_next),
                               *self._expect_rows)
         rows *= 1.0 / np.sqrt(self.fmap.n_spectral)
         # r_e is the set's mean of the centered form phi^T (S - I/alpha)
@@ -280,7 +300,7 @@ class EmuQ:
         raw = float(np.sum(self.model.centered_quadratic(rows))) / c.beta
         if raw > 1e-9 or raw < -self.v_max - 1e-9:
             self.re_range_violations += 1
-        r_e = float(np.clip(raw, -self.v_max, 0.0))
+        r_e = min(max(raw, -self.v_max), 0.0)
         self.re_count += 1
         self.re_min = min(self.re_min, r_e)
         self.re_max = max(self.re_max, r_e)
@@ -313,14 +333,13 @@ class EmuQ:
         Returns the action chosen at ``tr.next_state`` from the fixed
         candidate grid, whose values gave the bootstrap, for the runner to
         play next; None when the transition absorbs.  The stored row
-        phi(s, a) comes from s's state projection and a's action
+        phi(s, a) comes from s's (cached) state projection and a's action
         projection by the angle-sum identities.
         """
         c = self.config
         self._r_abs_max = max(self._r_abs_max, abs(float(tr.reward)))
-        proj_s = self.fmap.state_projection(tr.state)
         proj_a = self.fmap.action_projection([tr.action])
-        phi = angle_sum_rows(np.cos(proj_s), np.sin(proj_s),
+        phi = angle_sum_rows(*self._state_cos_sin(tr.state),
                              np.cos(proj_a), np.sin(proj_a))[0]
         phi *= 1.0 / np.sqrt(self.fmap.n_spectral)
         r_e = self.exploration_reward(tr.next_state, rng)
@@ -331,8 +350,8 @@ class EmuQ:
             a_next, (boot_q, boot_u) = self._choose(tr.next_state, kappa,
                                                     *self._grid)
             (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
-            boot_q = float(np.clip(boot_q, q_lo, q_hi))
-            boot_u = float(np.clip(boot_u, u_lo, u_hi))
+            boot_q = float(min(max(boot_q, q_lo), q_hi))
+            boot_u = float(min(max(boot_u, u_lo), u_hi))
         self.model.observe(phi, [tr.reward + c.gamma * boot_q,
                                  r_e + c.gamma * boot_u])
         n = self._n

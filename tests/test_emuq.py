@@ -19,7 +19,7 @@ from exval.core import EnvSpec, Transition, run_episode, seed_streams
 from exval.emuq import (NEWTON_STEPS, SWEEP_TOL, EmuQ, EmuqConfig,
                         pair_value_matrix)
 from exval.envs import ChainEnv, MountainCarEnv, make_env
-from exval.features import make_joint_map, rff_embed
+from exval.features import JointRffMap, make_joint_map, rff_embed
 
 
 def test_v_max_forms():
@@ -490,6 +490,107 @@ def test_state_arrays_roundtrip_bitwise():
     actions = probe.uniform(-1, 1, size=(50, 1))
     npt.assert_array_equal(fresh.fmap.embed_pairs(states, actions),
                            agent.fmap.embed_pairs(states, actions))
+
+
+# -- state projection cache ----------------------------------------------
+
+
+def counting_projections(monkeypatch):
+    """Count every JointRffMap.state_projection call from here on."""
+    calls = []
+    project = JointRffMap.state_projection
+
+    def counting(fmap, states):
+        calls.append(np.array(states))
+        return project(fmap, states)
+
+    monkeypatch.setattr(JointRffMap, "state_projection", counting)
+    return calls
+
+
+def test_learning_step_projects_only_the_next_state(monkeypatch):
+    env, agent, rng, _ = mc_setup(episodes=1)
+    calls = counting_projections(monkeypatch)
+    raw = env.reset(np.random.default_rng(3))
+    obs = env.observe(raw)
+    action = agent.act(obs, 0.1, rng)
+    assert len(calls) == 1
+    for _ in range(10):
+        outcome = env.step(raw, action, rng)
+        raw = outcome.next_state
+        obs_next = env.observe(raw)
+        calls.clear()
+        action = agent.observe(Transition(obs, action, outcome.reward,
+                                          obs_next, outcome.goal), 0.1, rng)
+        # the stored row reuses s, the step before's s'
+        assert len(calls) == 1
+        npt.assert_array_equal(calls[0], obs_next)
+        obs = obs_next
+
+
+def test_cached_projections_give_the_uncached_bits():
+    # Twin agents on one trajectory: the twin empties its cache before
+    # every call, so it projects every state afresh.
+    env = MountainCarEnv(max_episode_steps=30)
+    cfg = EmuqConfig(n_features=64, lengthscale_action=10.0)
+    agent = EmuQ(env.spec, cfg, np.random.default_rng(5))
+    twin = EmuQ(env.spec, cfg, np.random.default_rng(5))
+
+    def uncached(method, *args):
+        twin._cos_sin.clear()
+        return getattr(twin, method)(*args)
+
+    rng = np.random.default_rng(6)
+    raw = env.reset(rng)
+    obs = env.observe(raw)
+    action = agent.act(obs, 0.1, np.random.default_rng(7))
+    npt.assert_array_equal(action,
+                           uncached("act", obs, 0.1, np.random.default_rng(7)))
+    for _ in range(25):
+        outcome = env.step(raw, action, rng)
+        raw = outcome.next_state
+        obs_next = env.observe(raw)
+        tr = Transition(obs, action, outcome.reward, obs_next, outcome.goal)
+        r_e = agent.exploration_reward(obs_next, rng)
+        assert r_e == uncached("exploration_reward", obs_next, rng)
+        action = agent.observe(tr, 0.1, rng)
+        npt.assert_array_equal(action, uncached("observe", tr, 0.1, rng))
+        npt.assert_array_equal(
+            agent.act(obs_next, 0.3, np.random.default_rng(8)),
+            uncached("act", obs_next, 0.3, np.random.default_rng(8)))
+        obs = obs_next
+    assert agent.re_count == twin.re_count > 0
+    for name, array in agent.state_arrays().items():
+        npt.assert_array_equal(array, twin.state_arrays()[name], err_msg=name)
+
+
+def test_loaded_map_uses_no_stale_projection():
+    env, agent, rng, _ = mc_setup(episodes=1)
+    other = mc_setup(run_seed=8, episodes=1)[1]
+    assert np.any(other.fmap.rff.frequencies != agent.fmap.rff.frequencies)
+    state = agent.state_arrays()["next_obs"][-1]
+    agent.act(state, 0.1, np.random.default_rng(0))    # cached, old map
+    agent.load_state_arrays({k: np.array(v)
+                             for k, v in other.state_arrays().items()})
+    other._cos_sin.clear()
+    assert (agent.exploration_reward(state, rng)
+            == other.exploration_reward(state, rng))
+    for kappa in (0.0, 0.1, 5.0):
+        npt.assert_array_equal(agent._choose(state, kappa, *agent._grid)[1],
+                               other._choose(state, kappa, *other._grid)[1])
+
+
+def test_evaluation_episode_leaves_state_arrays_untouched():
+    env, agent, rng, _ = mc_setup(episodes=1)
+    before = {k: np.array(v) for k, v in agent.state_arrays().items()}
+    log = run_episode(env, agent, np.random.default_rng(1), rng, kappa=0.0,
+                      learn=False)
+    assert log.steps > 1
+    after = agent.state_arrays()
+    assert after.keys() == before.keys()
+    for name, array in before.items():
+        npt.assert_array_equal(after[name], array, err_msg=name)
+        assert after[name].dtype == array.dtype
 
 
 def test_fortran_ordered_covariance_keeps_updating_after_load(tmp_path):
