@@ -15,6 +15,7 @@ import io
 import json
 import os
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -474,11 +475,24 @@ def save_checkpoint(agent, path, config: ExperimentConfig) -> None:
 def load_checkpoint(path):
     """Rebuild (agent, env) from a checkpoint file: the saved config
     passes a config file's checks, build_run builds the agent and its
-    load_state_arrays checks and installs the saved arrays."""
+    load_state_arrays checks and installs the saved arrays.  A member
+    that cannot be read (a bad CRC, a cut or garbled array) is a
+    CheckpointError naming the file, like a file that cannot be opened."""
     try:
         data = np.load(path, allow_pickle=False)
     except Exception as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path} is a single array, not a checkpoint")
+    with data:
+        try:
+            return _load_checkpoint_members(path, data)
+        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
+            raise CheckpointError(
+                f"unreadable checkpoint {path}: {exc}") from None
+
+
+def _load_checkpoint_members(path, data):
     if "version" not in data.files:
         raise CheckpointError(f"{path} has no version entry")
     try:

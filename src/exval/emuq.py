@@ -90,6 +90,61 @@ def angle_sum_rows(cs, ss, ca, sa):
     return np.hstack([cs * ca - ss * sa, ss * ca + cs * sa])
 
 
+class NewtonMatrix:
+    """S Phi^T Psi for one head's episode-end re-solve, kept across its
+    Newton steps.
+
+    Row i of Psi is the unscaled next-state feature row of stored
+    transition i at its chosen sweep candidate ``k_star[i]``, or zero
+    where ``free[i]`` is False (its bootstrap is clipped or absorbing).
+    S and Phi stay fixed for the whole re-solve, so between two (argmax,
+    clip) patterns the matrix changes only by the rows F whose pattern
+    flipped: S Phi_F^T (Psi_F,new - Psi_F,old) = (Phi_F S)^T dPsi_F, S
+    being symmetric.  That costs 4|F|M^2 flops against 2NM^2 + 2M^3 for
+    a full build (N stored rows, M features), so the first pattern, and
+    any pattern with 2|F| >= N + M, is built in full.  ``full``,
+    ``by_rows`` and ``rows`` count full builds, row updates and the rows
+    those applied.
+    """
+
+    def __init__(self, S, Phi, Cs, Ss, Ca, Sa):
+        self.S, self.Phi = S, Phi
+        self.Cs, self.Ss, self.Ca, self.Sa = Cs, Ss, Ca, Sa
+        self.k_star = self.free = self.matrix = None
+        self.full = self.by_rows = self.rows = 0
+
+    def _psi(self, rows, k_star, free):
+        k = k_star[rows]
+        psi = angle_sum_rows(self.Cs[rows], self.Ss[rows], self.Ca[k],
+                             self.Sa[k])
+        psi[~free[rows]] = 0.0
+        return psi
+
+    def update(self, k_star, free) -> np.ndarray:
+        """The matrix for the pattern (``k_star``, ``free``), updated in
+        place by the rows that flipped since the last call, or built in
+        full."""
+        if self.k_star is not None:
+            flipped = np.flatnonzero((k_star != self.k_star)
+                                     | (free != self.free))
+            if 2 * len(flipped) < len(k_star) + len(self.S):
+                d_psi = (self._psi(flipped, k_star, free)
+                         - self._psi(flipped, self.k_star, self.free))
+                self.matrix += (self.Phi[flipped] @ self.S).T @ d_psi
+                self.k_star, self.free = k_star, free
+                self.by_rows += 1
+                self.rows += len(flipped)
+                return self.matrix
+        psi = self._psi(slice(None), k_star, free)
+        n_spectral = self.Ca.shape[1]
+        # full builds take two products: one Phi.T @ psi rounds differently
+        self.matrix = self.S @ np.hstack([self.Phi.T @ psi[:, :n_spectral],
+                                          self.Phi.T @ psi[:, n_spectral:]])
+        self.k_star, self.free = k_star, free
+        self.full += 1
+        return self.matrix
+
+
 @dataclass
 class EmuqConfig:
     gamma: float = 0.99
@@ -419,7 +474,7 @@ class EmuQ:
 
         (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
 
-        def newton_step(targets, k_star, raw, boot):
+        def newton_step(targets, k_star, raw, boot, newton_matrix):
             """Exact fixed point of the map with its pattern held: rows
             whose bootstrap is clipped or absorbing keep their constant
             value, the rest bootstrap linearly through the next-state
@@ -428,17 +483,15 @@ class EmuQ:
                 (I - gamma beta S Phi^T Psi) m
                     = beta S Phi^T (targets + gamma const).
 
-            Returns None if that system is singular or its solution is
-            not finite.
+            S Phi^T Psi comes from the head's NewtonMatrix, which updates
+            it by the rows whose pattern flipped since its last Newton
+            step.  Returns None if that system is singular or its
+            solution is not finite.
             """
             free = (boot == raw) & ~absorbing
             const = np.where(free, 0.0, boot)
-            psi = angle_sum_rows(Cs, Ss, Ca[k_star], Sa[k_star])
-            psi[~free] = 0.0
-            # two products: one Phi.T @ psi rounds differently
-            phi_psi = np.hstack([Phi.T @ psi[:, :n_spectral],
-                                 Phi.T @ psi[:, n_spectral:]])
-            lhs = np.eye(len(S)) - (c.gamma * c.beta * scale) * (S @ phi_psi)
+            sa = newton_matrix.update(k_star, free)
+            lhs = np.eye(len(S)) - (c.gamma * c.beta * scale) * sa
             rhs = S @ (c.beta * (Phi.T @ (targets + c.gamma * const)))
             try:
                 m = np.linalg.solve(lhs, rhs)
@@ -447,7 +500,7 @@ class EmuQ:
             return m if np.isfinite(m).all() else None
 
         def solve_head(targets, m0, t0, values_other, weight_self,
-                       weight_other, boot_lo, boot_hi):
+                       weight_other, boot_lo, boot_hi, newton_matrix):
             """Find the fixed point of m <- T(m) = beta S Phi^T (targets +
             gamma boot(m)), the bootstrap taken at the balanced argmax
             action and projected to the head's attainable value range.
@@ -469,6 +522,7 @@ class EmuQ:
             most heads of the 40-state chain unconverged and slowed its
             learning (figures in CHANGES.md).
 
+            Every Newton step of the head goes through ``newton_matrix``.
             If values leave the finite range the head falls back to its
             incremental per-step fit (m0, t0) rather than installing
             diverged values.
@@ -501,7 +555,7 @@ class EmuQ:
                                                            boot == raw)
                         if seen is not None and np.array_equal(seen, pattern):
                             m_newton = newton_step(targets, k_star, raw,
-                                                   boot)
+                                                   boot, newton_matrix)
                             if m_newton is not None:
                                 m, t_m = m_newton, None
                                 continue
@@ -509,7 +563,8 @@ class EmuQ:
                         continue
                     if delta < best_delta:
                         best_delta, best_next = delta, (m_new, t)
-                    m = (newton_step(targets, k_star, raw, boot)
+                    m = (newton_step(targets, k_star, raw, boot,
+                                     newton_matrix)
                          if it < NEWTON_STEPS else None)
                     if m is None:
                         newton = False
@@ -518,24 +573,29 @@ class EmuQ:
 
         m_q0 = self.model.m[:, 0]
         m_u0 = self.model.m[:, 1]
+        newton_q = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa)
+        newton_u = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa)
 
         values_u_fixed = pair_values(m_u0)
         m_q, t_q, iters_q, ok_q = solve_head(r, m_q0, self.model.t[:, 0],
                                              values_u_fixed, 1.0, kappa,
-                                             q_lo, q_hi)
+                                             q_lo, q_hi, newton_q)
 
         r_e = self._recompute_exploration_rewards(Cs, Ss)
 
         values_q_fixed = pair_values(m_q)
         m_u, t_u, iters_u, ok_u = solve_head(r_e, m_u0, self.model.t[:, 1],
                                              values_q_fixed, kappa, 1.0,
-                                             u_lo, u_hi)
+                                             u_lo, u_hi, newton_u)
 
         self.model.set_targets(np.column_stack([t_q, t_u]))
-        self.sweep_history.append({
-            "n": len(r), "iters_q": iters_q, "converged_q": ok_q,
-            "iters_u": iters_u, "converged_u": ok_u,
-        })
+        history = {"n": len(r), "iters_q": iters_q, "converged_q": ok_q,
+                   "iters_u": iters_u, "converged_u": ok_u}
+        for head, newton in (("q", newton_q), ("u", newton_u)):
+            history[f"newton_full_{head}"] = newton.full
+            history[f"newton_by_rows_{head}"] = newton.by_rows
+            history[f"flipped_rows_{head}"] = newton.rows
+        self.sweep_history.append(history)
 
     def _recompute_exploration_rewards(self, Cs, Ss):
         """Exploration rewards for all stored next states under current S.

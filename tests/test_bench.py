@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,34 @@ def test_checkpoint_corrupt_and_incompatible(tmp_path):
     np.savez(bad, **{**arrays, "config": np.asarray("{not json")})
     with pytest.raises(CheckpointError, match="bad config"):
         load_checkpoint(bad)
+
+
+def test_cli_eval_corrupt_checkpoint_member_exits_2(tmp_path, capsys):
+    # np.load reads members lazily, so a flipped byte inside q.npy only
+    # shows as a bad CRC once the agent reads its tables
+    config = tiny_config()
+    _, agent = run_single(config, 0)
+    path = tmp_path / "checkpoint.npz"
+    save_checkpoint(agent, path, config)
+    with zipfile.ZipFile(path) as archive:
+        member = archive.getinfo("q.npy")
+    raw = bytearray(path.read_bytes())
+    # a local file header is 30 bytes, then the name and the extra field
+    name_len, extra_len = np.frombuffer(
+        raw, dtype="<u2", count=2, offset=member.header_offset + 26)
+    data_start = member.header_offset + 30 + name_len + extra_len
+    raw[data_start + member.compress_size - 3] ^= 0xFF     # array data
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="Bad CRC-32"):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "q.npy" in err, err
+
+    single = tmp_path / "single.npy"
+    np.save(single, np.zeros(3))
+    assert main(["eval", "--checkpoint", str(single), "--episodes", "1"]) == 2
+    assert "not a checkpoint" in capsys.readouterr().err
 
 
 def test_checkpoint_stores_its_runs_config(tmp_path):

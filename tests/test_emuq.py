@@ -811,3 +811,60 @@ def test_resolve_past_its_newton_steps_stays_finite_and_honest():
             assert residual <= 1e-6, (history, residual)
         else:
             assert residual > SWEEP_TOL, (history, residual)
+
+
+def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
+        monkeypatch):
+    # The shipped mountain-car agent's first re-solve (seed 0) takes 12
+    # Newton steps in its U head: a first full build, row updates, and
+    # rebuilds once enough rows flip.  Each step's S Phi^T Psi must match
+    # one built from scratch out of explicit embeddings.
+    config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
+    agent = make_agent(config, env, agent_rng)
+    draws = []
+    actions = agent._actions
+
+    def recording_actions(n, rng=None):
+        draws.append(actions(n, rng))
+        return draws[-1]
+
+    agent._actions = recording_actions
+    steps, flips, patterns = [], [], {}
+    update = emuq.NewtonMatrix.update
+
+    def checked_update(newton, k_star, free):
+        first, counts = newton.k_star is None, (newton.full, newton.by_rows)
+        got = update(newton, k_star, free)
+        if newton.by_rows > counts[1]:
+            k_old, free_old = patterns[id(newton)]
+            flips.append(np.sum((k_star != k_old) | (free != free_old)))
+        patterns[id(newton)] = k_star.copy(), free.copy()
+        scale = np.sqrt(agent.fmap.n_spectral)
+        psi = agent.fmap.embed_pairs(agent.state_arrays()["next_obs"],
+                                     draws[-1][k_star]) * scale
+        psi[~free] = 0.0
+        want = newton.S @ (newton.Phi.T @ psi)
+        # max-abs error relative to the matrix's scale; an all-clipped
+        # pattern gives an exact zero matrix
+        err, size = np.max(np.abs(got - want)), np.max(np.abs(want))
+        branch = ("first" if first else "rows"
+                  if newton.by_rows > counts[1] else "rebuild")
+        steps.append((branch, err <= 1e-9 * size, err, size))
+        return got
+
+    monkeypatch.setattr(emuq.NewtonMatrix, "update", checked_update)
+    run_episode(env, agent, env_rng, agent_rng,
+                kappa=config.schedule_params["kappa0"])
+    (history,) = agent.sweep_history
+    branches = [branch for branch, *_ in steps]
+    assert {"first", "rows", "rebuild"} <= set(branches), branches
+    assert all(close for _, close, *_ in steps), steps
+    # the history counts each head's builds, row updates and rows applied
+    assert sum(history[f"newton_full_{head}"] for head in "qu") == (
+        branches.count("first") + branches.count("rebuild"))
+    assert sum(history[f"newton_by_rows_{head}"] for head in "qu") == (
+        branches.count("rows"))
+    assert sum(history[f"flipped_rows_{head}"] for head in "qu") == (
+        sum(flips)) > 0
