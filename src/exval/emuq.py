@@ -21,7 +21,10 @@ with the expectation set (all actions when discrete, stratified box
 midpoints plus both endpoints when continuous), whose action cos/sin
 are cached so that its values at s' take two small products from one
 state projection; in ``act`` a set drawn per call (all actions, or
-uniform box samples plus endpoints).
+uniform box samples plus endpoints).  The cos/sin of the two latest
+state projections are cached too, so a learning step, whose s is the
+step before's s', projects only s' for its stored row, r_e(s') and its
+choice at s'.
 
 Per step the posterior absorbs the transition through a rank-1 update
 with bootstrapped targets.  The bootstrap is taken at the action chosen
@@ -35,9 +38,13 @@ stale per-step targets get corrected.  The re-solve takes exact Newton
 of every stored row held fixed, as in least-squares policy iteration;
 if the greedy pattern keeps cycling it goes on with plain fixed-point
 steps, and takes a Newton step again whenever two plain steps in a row
-see the same pattern.  After the re-solve the covariance's eigenvalues
-are checked: the largest bounds every unit-norm feature's predictive
-variance by V_max, and the smallest must stay positive.
+see the same pattern.  A head's Newton steps share one matrix
+S Phi^T Psi, updated by the stored rows whose pattern flipped since its
+last Newton step, and rebuilt only when so many flipped that a full
+build costs less (``NewtonMatrix``).  After the re-solve the
+covariance's eigenvalues are checked: the largest bounds every unit-norm
+feature's predictive variance by V_max, and the smallest must stay
+positive.
 """
 
 from __future__ import annotations
@@ -102,16 +109,17 @@ class NewtonMatrix:
     flipped: S Phi_F^T (Psi_F,new - Psi_F,old) = (Phi_F S)^T dPsi_F, S
     being symmetric.  That costs 4|F|M^2 flops against 2NM^2 + 2M^3 for
     a full build (N stored rows, M features), so the first pattern, and
-    any pattern with 2|F| >= N + M, is built in full.  ``full``,
-    ``by_rows`` and ``rows`` count full builds, row updates and the rows
-    those applied.
+    any pattern with 2|F| >= N + M, is built in full.  The full builds,
+    the row updates and the rows those applied are counted into the
+    caller's ``traffic`` dict.
     """
 
-    def __init__(self, S, Phi, Cs, Ss, Ca, Sa):
+    def __init__(self, S, Phi, Cs, Ss, Ca, Sa, traffic: dict):
         self.S, self.Phi = S, Phi
         self.Cs, self.Ss, self.Ca, self.Sa = Cs, Ss, Ca, Sa
         self.k_star = self.free = self.matrix = None
-        self.full = self.by_rows = self.rows = 0
+        self.traffic = traffic
+        traffic.update(newton_full=0, newton_by_rows=0, flipped_rows=0)
 
     def _psi(self, rows, k_star, free):
         k = k_star[rows]
@@ -132,16 +140,17 @@ class NewtonMatrix:
                          - self._psi(flipped, self.k_star, self.free))
                 self.matrix += (self.Phi[flipped] @ self.S).T @ d_psi
                 self.k_star, self.free = k_star, free
-                self.by_rows += 1
-                self.rows += len(flipped)
+                self.traffic["newton_by_rows"] += 1
+                self.traffic["flipped_rows"] += len(flipped)
                 return self.matrix
+        self.matrix = None          # freed before its replacement is built
         psi = self._psi(slice(None), k_star, free)
         n_spectral = self.Ca.shape[1]
         # full builds take two products: one Phi.T @ psi rounds differently
         self.matrix = self.S @ np.hstack([self.Phi.T @ psi[:, :n_spectral],
                                           self.Phi.T @ psi[:, n_spectral:]])
         self.k_star, self.free = k_star, free
-        self.full += 1
+        self.traffic["newton_full"] += 1
         return self.matrix
 
 
@@ -500,7 +509,7 @@ class EmuQ:
             return m if np.isfinite(m).all() else None
 
         def solve_head(targets, m0, t0, values_other, weight_self,
-                       weight_other, boot_lo, boot_hi, newton_matrix):
+                       weight_other, boot_lo, boot_hi, traffic):
             """Find the fixed point of m <- T(m) = beta S Phi^T (targets +
             gamma boot(m)), the bootstrap taken at the balanced argmax
             action and projected to the head's attainable value range.
@@ -522,11 +531,13 @@ class EmuQ:
             most heads of the 40-state chain unconverged and slowed its
             learning (figures in CHANGES.md).
 
-            Every Newton step of the head goes through ``newton_matrix``.
+            The head's Newton steps share one NewtonMatrix, which counts
+            its traffic into ``traffic``.
             If values leave the finite range the head falls back to its
             incremental per-step fit (m0, t0) rather than installing
             diverged values.
             """
+            newton_matrix = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa, traffic)
             m = m0.copy()
             t_m = None                    # targets of m, once m = S t_m
             newton = True
@@ -573,28 +584,26 @@ class EmuQ:
 
         m_q0 = self.model.m[:, 0]
         m_u0 = self.model.m[:, 1]
-        newton_q = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa)
-        newton_u = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa)
+        traffic = {"q": {}, "u": {}}
 
         values_u_fixed = pair_values(m_u0)
         m_q, t_q, iters_q, ok_q = solve_head(r, m_q0, self.model.t[:, 0],
                                              values_u_fixed, 1.0, kappa,
-                                             q_lo, q_hi, newton_q)
+                                             q_lo, q_hi, traffic["q"])
 
         r_e = self._recompute_exploration_rewards(Cs, Ss)
 
         values_q_fixed = pair_values(m_q)
         m_u, t_u, iters_u, ok_u = solve_head(r_e, m_u0, self.model.t[:, 1],
                                              values_q_fixed, kappa, 1.0,
-                                             u_lo, u_hi, newton_u)
+                                             u_lo, u_hi, traffic["u"])
 
         self.model.set_targets(np.column_stack([t_q, t_u]))
         history = {"n": len(r), "iters_q": iters_q, "converged_q": ok_q,
                    "iters_u": iters_u, "converged_u": ok_u}
-        for head, newton in (("q", newton_q), ("u", newton_u)):
-            history[f"newton_full_{head}"] = newton.full
-            history[f"newton_by_rows_{head}"] = newton.by_rows
-            history[f"flipped_rows_{head}"] = newton.rows
+        for head, counts in traffic.items():
+            history.update({f"{name}_{head}": count
+                            for name, count in counts.items()})
         self.sweep_history.append(history)
 
     def _recompute_exploration_rewards(self, Cs, Ss):

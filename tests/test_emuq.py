@@ -835,9 +835,11 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
     update = emuq.NewtonMatrix.update
 
     def checked_update(newton, k_star, free):
-        first, counts = newton.k_star is None, (newton.full, newton.by_rows)
+        first = newton.k_star is None
+        by_rows = newton.traffic["newton_by_rows"]
         got = update(newton, k_star, free)
-        if newton.by_rows > counts[1]:
+        row_update = newton.traffic["newton_by_rows"] > by_rows
+        if row_update:
             k_old, free_old = patterns[id(newton)]
             flips.append(np.sum((k_star != k_old) | (free != free_old)))
         patterns[id(newton)] = k_star.copy(), free.copy()
@@ -849,8 +851,7 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
         # max-abs error relative to the matrix's scale; an all-clipped
         # pattern gives an exact zero matrix
         err, size = np.max(np.abs(got - want)), np.max(np.abs(want))
-        branch = ("first" if first else "rows"
-                  if newton.by_rows > counts[1] else "rebuild")
+        branch = "first" if first else "rows" if row_update else "rebuild"
         steps.append((branch, err <= 1e-9 * size, err, size))
         return got
 
