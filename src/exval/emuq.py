@@ -347,10 +347,10 @@ class EmuQ:
         The average is exact without embedding the set: it is a sum over
         the cached principal directions of the set's second moments, each
         rotated to s' by the angle-sum identity from s''s one (cached)
-        state projection (see ``_build_expectation_set``).  ``rng`` is unused, as the set
-        is fixed per agent; the parameter stays because hooks around this
-        method (perfbench's recording wrapper) pass the agent stream
-        through it.
+        state projection (see ``_build_expectation_set``).  ``rng`` is
+        unused, as the set is fixed per agent; the parameter stays because
+        hooks around this method (perfbench's recording wrapper) pass the
+        agent stream through it.
         """
         c = self.config
         rows = angle_sum_rows(*self._state_cos_sin(obs_next),
@@ -532,10 +532,9 @@ class EmuQ:
             learning (figures in CHANGES.md).
 
             The head's Newton steps share one NewtonMatrix, which counts
-            its traffic into ``traffic``.
-            If values leave the finite range the head falls back to its
-            incremental per-step fit (m0, t0) rather than installing
-            diverged values.
+            its traffic into ``traffic``.  If values leave the finite
+            range the head falls back to its incremental per-step fit
+            (m0, t0) rather than installing diverged values.
             """
             newton_matrix = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa, traffic)
             m = m0.copy()

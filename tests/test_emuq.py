@@ -495,8 +495,8 @@ def test_state_arrays_roundtrip_bitwise():
 # -- state projection cache ----------------------------------------------
 
 
-def counting_projections(monkeypatch):
-    """Count every JointRffMap.state_projection call from here on."""
+def test_learning_step_projects_only_the_next_state(monkeypatch):
+    env, agent, rng, _ = mc_setup(episodes=1)
     calls = []
     project = JointRffMap.state_projection
 
@@ -505,12 +505,6 @@ def counting_projections(monkeypatch):
         return project(fmap, states)
 
     monkeypatch.setattr(JointRffMap, "state_projection", counting)
-    return calls
-
-
-def test_learning_step_projects_only_the_next_state(monkeypatch):
-    env, agent, rng, _ = mc_setup(episodes=1)
-    calls = counting_projections(monkeypatch)
     raw = env.reset(np.random.default_rng(3))
     obs = env.observe(raw)
     action = agent.act(obs, 0.1, rng)
