@@ -493,6 +493,7 @@ def load_checkpoint(path):
 
 
 def _load_checkpoint_members(path, data):
+    """load_checkpoint's checks and build, over the open archive ``data``."""
     if "version" not in data.files:
         raise CheckpointError(f"{path} has no version entry")
     try:
