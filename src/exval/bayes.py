@@ -26,22 +26,6 @@ import numpy as np
 GER_BLOCK = 8192
 
 
-def exact_posterior(Phi, y, alpha: float, beta: float):
-    """Closed-form posterior (S, m) from a full design matrix.
-
-    Direct linear solve, O(M^3).  Test oracle: the incremental model
-    must agree with this to numerical precision.
-    """
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    M = Phi.shape[1]
-    precision = alpha * np.eye(M) + beta * (Phi.T @ Phi)
-    S = np.linalg.solve(precision, np.eye(M))
-    S = (S + S.T) / 2.0
-    m = beta * (S @ (Phi.T @ y))
-    return S, m
-
-
 class BayesianLinearModel:
     """Incremental Bayesian linear regression with shared covariance heads.
 

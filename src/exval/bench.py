@@ -274,17 +274,31 @@ def resolve_out_dir(config: ExperimentConfig, out_flag=None) -> Path:
     return Path(root) / config.experiment
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
                    save_checkpoints: bool = True):
     """Run seeds 0..config.n_seeds-1, write per-run CSVs plus aggregate
     and summary files.
 
-    Returns the list of RunResults in seed order.  Bad params write no
-    file; a failed run raises after the completed runs' files are written.
+    Returns the list of RunResults in seed order.  Bad params, or an
+    output path where no directory can be made, raise ConfigError and
+    write no file; a failed run raises after the completed runs' files
+    are written.
     """
     build_run(config)
     out = resolve_out_dir(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make results directory {out}: "
+                          f"{exc.strerror}") from None
     (out / "config.json").write_text(
         json.dumps(config.to_dict(), indent=2) + "\n")
 
@@ -292,8 +306,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
     # started once one raises.
     run_seed = partial(_run_seed, config, out=out,
                        save_checkpoints=save_checkpoints)
-    # A fork pool starts all its workers at once: one per seed at most.
-    workers = min(workers, config.n_seeds)
+    # A fork pool starts all its workers at once: one per seed and one
+    # per usable CPU at most.
+    workers = min(workers, config.n_seeds, usable_cpus())
     ordered: list[RunResult] = []
     failure = None
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
@@ -330,8 +345,9 @@ def read_run_csv(path):
     """Parse one per-run CSV back into (seed, rows).
 
     A file that is not UTF-8 text, with a wrong or missing header,
-    without rows, or with a row that is short or not numeric raises
-    ConfigError naming the file.
+    without rows, with a row that is short or not numeric, with a seed
+    that changes between rows or with episodes that are not 0, 1, 2, ...
+    in order raises ConfigError naming the file (and the line).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -347,11 +363,20 @@ def read_run_csv(path):
                               f"expected {len(CSV_HEADER)}")
         _, s, episode, steps, ret, kappa, reached, first = row
         try:
-            seed = int(s)
-            rows.append((int(episode), int(steps), float(ret),
-                         float(kappa), int(reached), int(first)))
+            row_seed = int(s)
+            parsed = (int(episode), int(steps), float(ret), float(kappa),
+                      int(reached), int(first))
         except ValueError as exc:
             raise ConfigError(f"{path} line {line}: {exc}") from None
+        if not rows:
+            seed = row_seed
+        elif row_seed != seed:
+            raise ConfigError(f"{path} line {line}: seed {row_seed}, "
+                              f"but line 2 has seed {seed}")
+        if parsed[0] != len(rows):
+            raise ConfigError(f"{path} line {line}: episode {parsed[0]}, "
+                              f"expected {len(rows)}")
+        rows.append(parsed)
     if not rows:
         raise ConfigError(f"{path} has no rows")
     return seed, rows

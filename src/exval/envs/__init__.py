@@ -8,7 +8,7 @@ drop-off, a semi-sparse chain step) never end an episode.
 
 from __future__ import annotations
 
-from .chain import ChainEnv, expected_steps_to_goal_always_right
+from .chain import ChainEnv
 from .control import MountainCarEnv, PendulumEnv
 from .gridworld import CliffEnv
 from .taxi import TaxiEnv
@@ -39,5 +39,5 @@ def make_env(name: str, **params):
 
 __all__ = [
     "ChainEnv", "CliffEnv", "TaxiEnv", "MountainCarEnv", "PendulumEnv",
-    "make_env", "env_names", "expected_steps_to_goal_always_right",
+    "make_env", "env_names",
 ]

@@ -77,23 +77,3 @@ class ChainEnv:
                 reward = -1.0
         return StepOutcome(nxt, reward, goal=False)
 
-
-def expected_steps_to_goal_always_right(n: int) -> float:
-    """Absorption-time oracle for the always-right policy.
-
-    Solves the linear system E[T_i] = 1 + (1-1/N) E[T_{i+1}] + (1/N) E[T_{max(i-1,0)}]
-    for the expected first-hitting time of state N-1 from state 0.  Used
-    to validate the simulated dynamics.
-    """
-    p = 1.0 - 1.0 / n
-    q = 1.0 / n
-    # Unknowns T_0 .. T_{n-2}; T_{n-1} = 0.
-    A = np.zeros((n - 1, n - 1))
-    b = np.ones(n - 1)
-    for i in range(n - 1):
-        A[i, i] = 1.0
-        down = max(i - 1, 0)
-        A[i, down] -= q
-        if i + 1 <= n - 2:
-            A[i, i + 1] -= p
-    return float(np.linalg.solve(A, b)[0])

@@ -213,11 +213,10 @@ def make_joint_map(spec, lengthscale_state, lengthscale_action=1.0, *,
                    n_features: int, seed: int = 0) -> JointRffMap:
     """Sample a JointRffMap for an EnvSpec's state and action spaces.
 
-    ``n_features`` is the output feature-vector length and must be even;
-    n_features/2 spectral samples are drawn by the quasi-random scheme.
+    ``n_features`` is the output feature-vector length, an even count
+    (EmuqConfig checks it); n_features/2 spectral samples are drawn by the
+    quasi-random scheme.
     """
-    if n_features % 2 != 0:
-        raise ValueError("n_features must be even (paired cos/sin blocks)")
     ls = np.concatenate([
         np.full(spec.state_dim, float(lengthscale_state)),
         np.full(spec.action_dim, float(lengthscale_action)),

@@ -337,7 +337,8 @@ def test_failed_seed_propagates_after_flushing_completed_runs(tmp_path,
 
 def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
     # A fork pool starts every worker it is asked for, so the pool gets
-    # at most one per seed, and one seed runs without a pool.
+    # at most one per seed and one per usable CPU, and one seed or one
+    # CPU runs without a pool.
     pools = []
 
     class SerialPool:
@@ -353,7 +354,10 @@ def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    if hasattr(os, "sched_getaffinity"):
+        assert bench.usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 64)
     config = tiny_config(n_seeds=2)
     results = run_experiment(config, out_dir=tmp_path / "two", workers=16,
                              save_checkpoints=False)
@@ -364,6 +368,17 @@ def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
                              save_checkpoints=False)
     assert pools == [2]
     assert [r.seed for r in results] == [0]
+
+    config = tiny_config(n_seeds=8, n_episodes=1)
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 3)
+    results = run_experiment(config, out_dir=tmp_path / "many", workers=64,
+                             save_checkpoints=False)
+    assert pools == [2, 3]
+    assert [r.seed for r in results] == list(range(8))
+    monkeypatch.setattr(bench, "usable_cpus", lambda: 1)
+    run_experiment(config, out_dir=tmp_path / "one_cpu", workers=64,
+                   save_checkpoints=False)
+    assert pools == [2, 3]
 
 
 def test_parallel_workers_match_serial_bytes(tmp_path):
@@ -464,6 +479,22 @@ def test_aggregate_bad_run_csv_exits_2_naming_file(tmp_path, capsys):
         assert main(["aggregate", "--in", str(out)]) == 2, case
         assert "run_s001.csv" in capsys.readouterr().err, case
         assert not (out / "summary.csv").exists(), case
+
+    # rows that do not fit one run (a missing episode, a changed seed)
+    # would be averaged with other seeds' episodes of another index
+    seed_1 = good.replace("tiny-s0,0,", "tiny-s1,1,").splitlines()
+    misfits = {
+        "line 3: episode 2, expected 1": [seed_1[0], seed_1[1], *seed_1[3:]],
+        "line 2: episode 1, expected 0": [seed_1[0], *seed_1[2:]],
+        "line 4: seed 7, but line 2 has seed 1": [
+            *seed_1[:3], seed_1[3].replace(",1,", ",7,", 1), *seed_1[4:]],
+    }
+    for message, lines in misfits.items():
+        (out / "run_s001.csv").write_text("\n".join(lines) + "\n")
+        assert main(["aggregate", "--in", str(out)]) == 2, message
+        err = capsys.readouterr().err
+        assert f"run_s001.csv {message}" in err, err
+        assert not (out / "summary.csv").exists(), message
 
     # so is a corrupt config.json, named with the real cause
     bad_params = dict(config.to_dict(), env={"name": "cliff",
@@ -904,6 +935,18 @@ def test_tabular_run_loads_no_scipy():
             "ExplorationValuesAgent", "False", "False"]
 
 
+def test_package_root_imports_no_submodule():
+    # exval's API is its submodules: the package root only names itself.
+    code = """
+        import sys
+        import exval
+        print([name for name in sys.modules if name.startswith("exval.")])
+        print([name for name in vars(exval) if not name.startswith("__")])
+        print(exval.__version__)
+    """
+    assert python_in_src(code) == ["[]", "[]", "0.1.0"]
+
+
 def test_emuq_build_does_not_import_scipy_stats():
     # The quasi-random map is built in numpy and mapped by
     # scipy.special.ndtri; building the agent as perfbench's set-up probe
@@ -1246,6 +1289,21 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         assert code == 2, (case, err)
         assert err.startswith("error: ") and message in err, (case, err)
         assert not (tmp_path / "out").exists(), case
+
+
+def test_cli_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(tiny_dict()))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    for out in (afile, afile / "sub"):
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: cannot make results directory "
+                              f"{out}: "), err
+        assert afile.read_text() == "keep\n"
+        assert sorted(tmp_path.iterdir()) == [afile, cfg_path]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

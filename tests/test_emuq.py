@@ -13,13 +13,14 @@ import numpy.testing as npt
 import pytest
 
 from exval import emuq
-from exval.bayes import BayesianLinearModel, exact_posterior
+from exval.bayes import BayesianLinearModel
 from exval.bench import load_config, make_agent
 from exval.core import EnvSpec, Transition, run_episode, seed_streams
 from exval.emuq import (NEWTON_STEPS, SWEEP_TOL, EmuQ, EmuqConfig,
                         pair_value_matrix)
 from exval.envs import ChainEnv, MountainCarEnv, make_env
 from exval.features import JointRffMap, make_joint_map, rff_embed
+from oracles import exact_posterior
 
 
 def test_v_max_forms():
@@ -784,17 +785,17 @@ def test_posterior_stays_spd_and_matches_direct_solve(mountaincar_resolves):
     assert np.max(np.abs(S - S_exact)) <= 1e-9
 
 
-def test_resolve_past_its_newton_steps_stays_finite_and_honest():
-    # On the 40-state chain the greedy pattern keeps flipping between
-    # Newton steps, so the re-solve goes on with plain steps and may stop
-    # at the cap; it must still install finite weights and flag
-    # convergence only where the map's residual says so.
-    config = load_config(CONFIG_DIR / "chain_emuq_scaling_n40.json")
+def assert_first_resolve_finite_and_honest(config_name):
+    """Run seed 0's first episode of a shipped config at its kappa0; its
+    re-solve must go past the Newton steps, install finite weights and
+    flag convergence only where the map's residual says so."""
+    config = load_config(CONFIG_DIR / f"{config_name}.json")
     env = make_env(config.env_name, **config.env_params)
     env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
     agent = make_agent(config, env, agent_rng)
     records = record_resolves(agent)
-    run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
+    run_episode(env, agent, env_rng, agent_rng,
+                kappa=config.schedule_params["kappa0"])
     (rec,) = records
     history = rec["history"]
     assert max(history["iters_q"], history["iters_u"]) > NEWTON_STEPS + 1
@@ -805,6 +806,19 @@ def test_resolve_past_its_newton_steps_stays_finite_and_honest():
             assert residual <= 1e-6, (history, residual)
         else:
             assert residual > SWEEP_TOL, (history, residual)
+
+
+def test_resolve_past_its_newton_steps_stays_finite_and_honest():
+    # On the 40-state chain the greedy pattern keeps flipping between
+    # Newton steps, so the re-solve goes on with plain steps and may stop
+    # at the cap.
+    assert_first_resolve_finite_and_honest("chain_emuq_scaling_n40")
+
+
+def test_pendulum_resolve_stays_finite_and_honest():
+    # Pendulum's U head wanders to the iteration cap (residual about 3e4)
+    # while its Q head converges.
+    assert_first_resolve_finite_and_honest("pendulum_emuq")
 
 
 def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(

@@ -1,8 +1,9 @@
 """Environment dynamics tests.
 
-Each domain is checked against independently computed quantities: linear
-absorption-time solves, hand-stepped Euler updates, scripted optimal
-rollouts, and empirical frequencies from seeded rollouts.
+Each domain is checked against independently computed quantities:
+hand-stepped Euler updates, scripted optimal rollouts, and empirical
+frequencies from seeded rollouts (the chain's absorption time is checked
+in test_oracles.py).
 """
 
 import numpy as np
@@ -10,8 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from exval.envs import (ChainEnv, CliffEnv, MountainCarEnv, PendulumEnv,
-                        TaxiEnv, env_names,
-                        expected_steps_to_goal_always_right, make_env)
+                        TaxiEnv, env_names, make_env)
 from exval.envs.gridworld import DOWN, LEFT, RIGHT, UP
 from exval.envs.taxi import (DROPOFF, EAST, IN_TAXI, NORTH, PICKUP, SOUTH,
                              SPECIAL_CELLS, WEST, decode, encode)
@@ -96,26 +96,6 @@ def test_chain_semi_sparse_penalties():
     half = ChainEnv(6, semi_sparse_p=0.5)
     hits = sum(half.step(3, 0, rng).reward == -1.0 for _ in range(20000))
     assert abs(hits / 20000 - 0.5) < 0.02
-
-
-def test_chain_absorption_time_oracle():
-    # n = 2 collapses to a geometric success with p = 1/2, mean 2.
-    assert expected_steps_to_goal_always_right(2) == pytest.approx(2.0)
-
-    env = ChainEnv(6)
-    rng = np.random.default_rng(5)
-    steps = []
-    for _ in range(4000):
-        s, t = 0, 0
-        while True:
-            out = env.step(s, 1, rng)
-            t += 1
-            if out.goal:
-                break
-            s = out.next_state
-        steps.append(t)
-    want = expected_steps_to_goal_always_right(6)
-    assert abs(np.mean(steps) - want) / want < 0.05
 
 
 # ---------------------------------------------------------------- cliff

@@ -173,11 +173,6 @@ def test_joint_map_lengthscale_blocks():
     npt.assert_allclose(freqs[2:].std(axis=1), 0.2, rtol=0.05)
 
 
-def test_joint_map_rejects_odd_feature_count():
-    with pytest.raises(ValueError):
-        make_joint_map(discrete_spec(1, 2), 0.5, n_features=15)
-
-
 def joint_reference(fmap, state, action):
     """One (state, action) feature row from rff_embed on the stacked,
     encoded input."""
