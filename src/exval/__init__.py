@@ -10,6 +10,9 @@ rewards, a Bayesian linear-regression agent over random Fourier
 features whose exploration reward is its own posterior variance,
 goal-only benchmark environments, kappa schedules, and a seeded
 experiment harness with a CLI (``exval-bench``).
+
+Import from the submodules (``exval.core``, ``exval.emuq``,
+``exval.bench`` and so on): the package root loads none of them.
 """
 
 __version__ = "0.1.0"
