@@ -11,6 +11,7 @@ rows, so summaries can always be recomputed from the files alone.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -282,12 +283,43 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
+def pin_blas_threads():
+    """Set numpy's bundled OpenBLAS to one thread, once per process, and
+    return the count: 1, or "unpinned: <reason>" when no setter is found.
+
+    EmuQ results depend on the BLAS thread count (a pendulum run's
+    matrix products round differently on two threads than on one), so
+    runs and evaluations use one thread on every machine.  The setter is
+    ``scipy_openblas_set_num_threads64_`` of the OpenBLAS that numpy
+    wheels ship under ``numpy.libs``; a numpy built against another BLAS
+    has none.  ctypes is imported here, so importing this module or
+    building an agent does not pay for it.
+    """
+    import ctypes
+
+    setter = "scipy_openblas_set_num_threads64_"
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*"))
+    if not found:
+        return f"unpinned: no libscipy_openblas64_ library under {libs}"
+    try:
+        set_threads = getattr(ctypes.CDLL(str(found[0])), setter)
+    except (OSError, AttributeError) as exc:
+        return f"unpinned: {exc}"
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
                    save_checkpoints: bool = True):
     """Run seeds 0..config.n_seeds-1, write per-run CSVs plus aggregate
     and summary files.
 
-    Returns the list of RunResults in seed order.  Bad params, or an
+    BLAS runs on one thread (``pin_blas_threads``), and ``meta.json``
+    records the count as ``blas_threads``.  Returns the list of
+    RunResults in seed order.  Bad params, or an
     output path where no directory can be made, raise ConfigError and
     write no file; a failed run raises after the completed runs' files
     are written.
@@ -301,6 +333,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
                           f"{exc.strerror}") from None
     (out / "config.json").write_text(
         json.dumps(config.to_dict(), indent=2) + "\n")
+    blas_threads = pin_blas_threads()
 
     # Both maps yield in seed order; pool.map cancels the seeds not yet
     # started once one raises.
@@ -326,6 +359,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
         path.write_text(run_rows_to_csv(config, result))
     meta = {
         "experiment": config.experiment,
+        "blas_threads": blas_threads,
         "n_seeds_completed": len(ordered),
         "wall_times": {r.seed: r.wall_time for r in ordered},
         "agent_stats": {r.seed: r.agent_stats for r in ordered

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from .bench import (CheckpointError, ConfigError, aggregate_directory,
-                    load_checkpoint, load_config, resolve_out_dir,
-                    run_experiment)
+                    load_checkpoint, load_config, pin_blas_threads,
+                    resolve_out_dir, run_experiment)
 from .core import eval_pure_exploit
 
 # Invariant counters of an agent's run_stats that the run line reports
@@ -96,6 +96,7 @@ def cmd_eval(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     agent, env = load_checkpoint(args.checkpoint)
+    pin_blas_threads()
     rng = np.random.default_rng(args.seed)
     returns = eval_pure_exploit(env, agent, args.episodes, rng)
     print(f"episodes: {args.episodes}")

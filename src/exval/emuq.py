@@ -106,10 +106,11 @@ class NewtonMatrix:
     where ``free[i]`` is False (its bootstrap is clipped or absorbing).
     S and Phi stay fixed for the whole re-solve, so between two (argmax,
     clip) patterns the matrix changes only by the rows F whose pattern
-    flipped: S Phi_F^T (Psi_F,new - Psi_F,old) = (Phi_F S)^T dPsi_F, S
-    being symmetric.  That costs 4|F|M^2 flops against 2NM^2 + 2M^3 for
-    a full build (N stored rows, M features), so the first pattern, and
-    any pattern with 2|F| >= N + M, is built in full.  The full builds,
+    flipped, leaving out rows whose Psi row is zero in both patterns:
+    S Phi_F^T (Psi_F,new - Psi_F,old) = (Phi_F S)^T dPsi_F, S being
+    symmetric.  That costs 4|F|M^2 flops against 2NM^2 + 2M^3 for a full
+    build (N stored rows, M features), so the first pattern, and any
+    pattern with 2|F| >= N + M, is built in full.  The full builds,
     the row updates and the rows those applied are counted into the
     caller's ``traffic`` dict.
     """
@@ -133,8 +134,11 @@ class NewtonMatrix:
         place by the rows that flipped since the last call, or built in
         full."""
         if self.k_star is not None:
-            flipped = np.flatnonzero((k_star != self.k_star)
-                                     | (free != self.free))
+            # a row clipped or absorbing in both patterns has zero psi in
+            # both, whatever its argmax did
+            flipped = np.flatnonzero(((k_star != self.k_star)
+                                      | (free != self.free))
+                                     & (free | self.free))
             if 2 * len(flipped) < len(k_star) + len(self.S):
                 d_psi = (self._psi(flipped, k_star, free)
                          - self._psi(flipped, self.k_star, self.free))

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from exval.bayes import BayesianLinearModel
+from exval.bayes import FOLD_EVERY, BayesianLinearModel
 from exval.features import rff_embed, sample_rff
 from oracles import exact_posterior
 
@@ -46,7 +46,7 @@ def test_incremental_matches_exact_posterior():
 @pytest.mark.parametrize("alpha", [0.1, 0.001])
 def test_rank1_updates_at_agent_scale_match_exact_posterior(alpha):
     # EmuQ's size: M = 300 unit-norm RFF rows, many more rows than
-    # features.  The in-place rank-1 updates stay within rounding of the
+    # features.  The batched rank-1 updates stay within rounding of the
     # direct solve, and nearly symmetric with no symmetrize call.
     rng = np.random.default_rng(11)
     fmap = sample_rff([0.3, 0.3], 150, seed=5)
@@ -130,3 +130,62 @@ def test_symmetrize_restores_symmetry():
         model.observe(rng.standard_normal(8), rng.standard_normal())
     model.symmetrize()
     npt.assert_array_equal(model.S, model.S.T)
+
+
+def agent_scale_rows(n):
+    rng = np.random.default_rng(12)
+    fmap = sample_rff([0.3, 0.3, 1.0], 150, seed=4)
+    return rff_embed(rng.uniform(0.0, 1.0, size=(n, 3)), fmap)
+
+
+@pytest.mark.parametrize("pending", range(1, FOLD_EVERY))
+def test_pending_updates_read_as_the_exact_posterior(pending):
+    # Two folds, then 1 to FOLD_EVERY - 1 rank-1 terms left pending:
+    # reading S folds them, and S and m match the direct solve.
+    rng = np.random.default_rng(pending)
+    n = 2 * FOLD_EVERY + pending
+    Phi = rng.standard_normal((n, 8))
+    Y = rng.standard_normal((n, 2))
+    model = BayesianLinearModel(8, alpha=0.3, beta=1.7, n_heads=2)
+    for phi, y in zip(Phi, Y):
+        model.observe(phi, y)
+    assert model._pending == pending
+    S_ref, m_ref = exact_posterior(Phi, Y, 0.3, 1.7)
+    npt.assert_allclose(model.m, m_ref, atol=1e-10)
+    npt.assert_allclose(model.S, S_ref, atol=1e-10)
+    assert model._pending == 0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.001])
+def test_pending_queries_match_their_folded_values(alpha):
+    # centered_quadratic, S phi and m = S t read through the pending
+    # terms agree with the same queries on the folded matrix.
+    Phi = agent_scale_rows(3 * FOLD_EVERY + 5)
+    model = BayesianLinearModel(300, alpha=alpha, beta=1.0, n_heads=2)
+    rng = np.random.default_rng(13)
+    for phi in Phi:
+        model.observe(phi, rng.standard_normal(2))
+    assert model._pending == 5
+    batch = agent_scale_rows(7)
+    pending = (model.centered_quadratic(batch), model._times_S(batch[0]),
+               model.m.copy())
+    S = model.S
+    assert model._pending == 0
+    folded = (model.centered_quadratic(batch), S @ batch[0], S @ model.t)
+    for got, want in zip(pending, folded):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_assigning_and_symmetrizing_leave_nothing_pending():
+    rng = np.random.default_rng(14)
+    model = BayesianLinearModel(6, alpha=0.5, beta=1.0)
+    for _ in range(3):
+        model.observe(rng.standard_normal(6), rng.standard_normal())
+    model.symmetrize()
+    assert model._pending == 0
+    npt.assert_array_equal(model.S, model.S.T)
+    model.observe(rng.standard_normal(6), rng.standard_normal())
+    assert model._pending == 1
+    model.S = np.eye(6)
+    assert model._pending == 0
+    npt.assert_array_equal(model.S, np.eye(6))

@@ -272,6 +272,33 @@ def test_run_experiment_writes_everything(tmp_path):
     assert saved == config
     meta = json.loads((out / "meta.json").read_text())
     assert meta["n_seeds_completed"] == 2
+    assert meta["blas_threads"] == bench.pin_blas_threads()
+
+
+def test_emuq_run_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The shortest pendulum trim whose run CSV differed between one and
+    # two OpenBLAS threads before runs pinned BLAS to one thread: seed 0,
+    # 4 episodes (1 to 3 episodes matched).
+    if bench.pin_blas_threads() != 1:
+        pytest.skip(f"numpy's BLAS cannot be pinned here: "
+                    f"{bench.pin_blas_threads()}")
+    config = dict(json.loads((CONFIG_DIR / "pendulum_emuq.json").read_text()),
+                  n_episodes=4, n_seeds=1)
+    config_path = tmp_path / "pendulum.json"
+    config_path.write_text(json.dumps(config))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(SRC_DIR))
+        subprocess.run([sys.executable, "-m", "exval", "run", "--config",
+                        str(config_path), "--out", str(out),
+                        "--no-checkpoints"],
+                       env=env, capture_output=True, check=True)
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["blas_threads"] == 1
+        written.append((out / "run_s000.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_run_experiment_writes_nothing_for_bad_params(tmp_path):
@@ -911,30 +938,6 @@ def python_in_src(code, *args):
     return done.stdout.split()
 
 
-def test_tabular_run_loads_no_scipy():
-    # Only feature maps (scipy.special) and the Bayesian model's BLAS
-    # update (scipy.linalg) use scipy; a tabular build and run load none.
-    code = """
-        import dataclasses
-        import sys
-        import numpy as np
-        import exval
-        from exval.bench import load_config, make_agent, run_single
-        from exval.envs import make_env
-        def scipy_loaded():
-            return any(name.split(".")[0] == "scipy" for name in sys.modules)
-        config = load_config(sys.argv[1])
-        env = make_env(config.env_name, **config.env_params)
-        agent = make_agent(config, env, np.random.default_rng(0))
-        print(type(agent).__name__, scipy_loaded())
-        run_single(dataclasses.replace(config, n_episodes=3), 0)
-        print(scipy_loaded())
-    """
-    assert python_in_src(
-        code, CONFIG_DIR / "taxi_explvalues_target_stop.json") == [
-            "ExplorationValuesAgent", "False", "False"]
-
-
 def test_package_root_imports_no_submodule():
     # exval's API is its submodules: the package root only names itself.
     code = """
@@ -947,45 +950,52 @@ def test_package_root_imports_no_submodule():
     assert python_in_src(code) == ["[]", "[]", "0.1.0"]
 
 
-def test_emuq_build_does_not_import_scipy_stats():
-    # The quasi-random map is built in numpy and mapped by
-    # scipy.special.ndtri; building the agent as perfbench's set-up probe
-    # does draws the map without scipy.stats.
+@pytest.mark.parametrize("case", ["emuq_build", "mountaincar_run",
+                                  "emuq_checkpoint_load", "tabular_run"])
+def test_runs_load_no_scipy(case, tmp_path):
+    # Feature maps, the Bayesian model and the tabular agents are numpy
+    # only: building an agent as perfbench's set-up probe does, a run, and
+    # loading and evaluating a checkpoint load no scipy module.
+    config_path = CONFIG_DIR / ("taxi_explvalues_target_stop.json"
+                                if case == "tabular_run"
+                                else "mountaincar_emuq.json")
+    if case == "emuq_checkpoint_load":
+        config = tiny_config(
+            env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
+            agent={"kind": "emuq", "params": {"n_features": 32}},
+            schedule={"variant": "constant", "params": {"kappa0": 0.1}},
+            n_episodes=1)
+        _, agent = run_single(config, 0)
+        config_path = tmp_path / "ck.npz"
+        save_checkpoint(agent, config_path, config)
     code = """
+        import dataclasses
         import sys
-        from exval.bench import load_config, make_agent
+        from exval.bench import load_config, make_agent, run_single
+        from exval.cli import main
         from exval.core import seed_streams
         from exval.envs import make_env
-        config = load_config(sys.argv[1])
-        _, agent_rng, _ = seed_streams(config.base_seed, 0)
-        env = make_env(config.env_name, **config.env_params)
-        agent = make_agent(config, env, agent_rng)
-        print(type(agent).__name__, 2 * agent.fmap.n_spectral,
-              "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+        case, path = sys.argv[1:]
+        if case == "emuq_checkpoint_load":
+            main(["eval", "--checkpoint", path, "--episodes", "1"])
+        else:
+            config = load_config(path)
+            if case == "emuq_build":
+                _, agent_rng, _ = seed_streams(config.base_seed, 0)
+                env = make_env(config.env_name, **config.env_params)
+                agent = make_agent(config, env, agent_rng)
+            else:
+                _, agent = run_single(
+                    dataclasses.replace(config, n_episodes=2), 0)
+            print(type(agent).__name__)
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] == "scipy"))
     """
-    assert python_in_src(code, CONFIG_DIR / "mountaincar_emuq.json") == [
-        "EmuQ", "300", "True", "False"]
-
-
-def test_emuq_checkpoint_load_does_not_import_scipy_special(tmp_path):
-    # Loading installs the saved feature map and draws none.
-    config = tiny_config(
-        env={"name": "mountaincar", "params": {"max_episode_steps": 25}},
-        agent={"kind": "emuq",
-               "params": {"n_features": 32}},
-        schedule={"variant": "constant", "params": {"kappa0": 0.1}},
-        n_episodes=1)
-    _, agent = run_single(config, 0)
-    path = tmp_path / "ck.npz"
-    save_checkpoint(agent, path, config)
-    code = """
-        import sys
-        from exval.bench import load_checkpoint
-        agent, env = load_checkpoint(sys.argv[1])
-        print(type(agent).__name__, agent.model.n_features,
-              "scipy.special" in sys.modules)
-    """
-    assert python_in_src(code, path) == ["EmuQ", "32", "False"]
+    words = python_in_src(code, case, config_path)
+    assert words[-1] == "[]", words
+    assert words[0] == {"emuq_checkpoint_load": "episodes:",
+                        "tabular_run": "ExplorationValuesAgent"}.get(
+                            case, "EmuQ")
 
 
 # -- CLI ---------------------------------------------------------------

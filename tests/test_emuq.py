@@ -590,7 +590,7 @@ def test_evaluation_episode_leaves_state_arrays_untouched():
 
 def test_fortran_ordered_covariance_keeps_updating_after_load(tmp_path):
     # A checkpoint may hold S in Fortran order, which loading keeps; the
-    # in-place rank-1 update must still reach the installed covariance.
+    # rank-1 updates must still reach the installed covariance.
     env, agent, rng, logs = mc_setup(episodes=2)
     arrays = dict(agent.state_arrays())
     arrays["S"] = np.asfortranarray(arrays["S"])
@@ -609,6 +609,23 @@ def test_fortran_ordered_covariance_keeps_updating_after_load(tmp_path):
     S_exact, _ = exact_posterior(Phi, np.zeros(len(Phi)), agent.config.alpha,
                                  agent.config.beta)
     assert np.max(np.abs(loaded.model.S - S_exact)) <= 1e-9
+
+
+def test_state_arrays_fold_pending_covariance_updates():
+    env, agent, rng, logs = mc_setup(episodes=1)
+    assert agent.model._pending == 0        # the re-solve symmetrized S
+    state = agent.state_arrays()["next_obs"][-1]
+    for _ in range(3):
+        agent.observe(Transition(state=state, action=np.array([0.5]),
+                                 reward=-1.0, next_state=state,
+                                 absorbing=False), 0.1, rng)
+    assert agent.model._pending == 3
+    arrays = agent.state_arrays()
+    assert agent.model._pending == 0
+    S_exact, _ = exact_posterior(arrays["phi_rows"],
+                                 np.zeros(logs[0].steps + 3),
+                                 agent.config.alpha, agent.config.beta)
+    assert np.max(np.abs(arrays["S"] - S_exact)) <= 1e-9
 
 
 # -- episode-end re-solve ----------------------------------------------
@@ -839,7 +856,7 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
         return draws[-1]
 
     agent._actions = recording_actions
-    steps, flips, patterns = [], [], {}
+    steps, flips, zero_flips, patterns = [], [], [], {}
     update = emuq.NewtonMatrix.update
 
     def checked_update(newton, k_star, free):
@@ -849,7 +866,11 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
         row_update = newton.traffic["newton_by_rows"] > by_rows
         if row_update:
             k_old, free_old = patterns[id(newton)]
-            flips.append(np.sum((k_star != k_old) | (free != free_old)))
+            changed = (k_star != k_old) | (free != free_old)
+            # rows clipped or absorbing under both patterns keep a zero
+            # psi row, so they are not applied
+            flips.append(np.sum(changed & (free | free_old)))
+            zero_flips.append(np.sum(changed & ~free & ~free_old))
         patterns[id(newton)] = k_star.copy(), free.copy()
         scale = np.sqrt(agent.fmap.n_spectral)
         psi = agent.fmap.embed_pairs(agent.state_arrays()["next_obs"],
@@ -877,3 +898,32 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
         branches.count("rows"))
     assert sum(history[f"flipped_rows_{head}"] for head in "qu") == (
         sum(flips)) > 0
+    assert sum(zero_flips) > 0
+
+
+def test_newton_matrix_skips_rows_whose_psi_stays_zero():
+    # A row whose argmax moves while it stays clipped applies nothing: the
+    # update counts no row and leaves the matrix as a fresh build has it.
+    rng = np.random.default_rng(5)
+    n, h = 6, 4
+    Phi = rng.standard_normal((n, 2 * h))
+    S = np.eye(2 * h) + 0.1 * np.ones((2 * h, 2 * h))
+    angles_s, angles_a = rng.uniform(0, 6, (n, h)), rng.uniform(0, 6, (3, h))
+    parts = (np.cos(angles_s), np.sin(angles_s), np.cos(angles_a),
+             np.sin(angles_a))
+    traffic = {}
+    newton = emuq.NewtonMatrix(S, Phi, *parts, traffic)
+    k_star = np.zeros(n, dtype=int)
+    free = np.array([True, False, True, True, False, True])
+    newton.update(k_star, free)
+    moved = k_star.copy()
+    moved[[1, 4]] = 2                       # both rows stay clipped
+    got = newton.update(moved, free).copy()
+    assert traffic == {"newton_full": 1, "newton_by_rows": 1,
+                       "flipped_rows": 0}
+    fresh = emuq.NewtonMatrix(S, Phi, *parts, {}).update(moved, free)
+    npt.assert_array_equal(got, fresh)
+    moved = moved.copy()
+    moved[[2, 4]] = 1                       # the free row counts
+    newton.update(moved, free)
+    assert traffic["flipped_rows"] == 1

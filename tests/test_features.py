@@ -1,13 +1,33 @@
 """Feature-map tests: RFF kernel approximation and the joint map."""
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from exval.core import EnvSpec
 from exval.features import (MONTE_CARLO, QUASI_RANDOM, _scrambled_halton,
-                            kernel_exact, make_joint_map, rff_embed,
+                            kernel_exact, make_joint_map, ndtri, rff_embed,
                             sample_rff)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def emuq_map_shapes():
+    """(input dims, spectral samples) of every checked-in EmuQ config's
+    feature map."""
+    from exval.bench import load_config
+    from exval.envs import make_env
+
+    shapes = set()
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        config = load_config(path)
+        if config.agent_kind == "emuq":
+            spec = make_env(config.env_name, **config.env_params).spec
+            shapes.add((spec.state_dim + spec.action_dim,
+                        config.agent_params["n_features"] // 2))
+    return sorted(shapes)
 
 
 def discrete_spec(state_dim, n_actions):
@@ -81,6 +101,39 @@ def test_scrambled_halton_is_scipys_bit_for_bit(n, seed):
         assert points.shape == expected.shape == (n, d)
         npt.assert_array_equal(points.view(np.uint64),
                                expected.view(np.uint64))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", emuq_map_shapes())
+def test_ndtri_is_scipys_bit_for_bit_on_emuq_maps(shape):
+    # The Halton points of every checked-in EmuQ map's shape: a last-bit
+    # difference would change the frequencies, and so every EmuQ result.
+    from scipy.special import ndtri as scipy_ndtri
+
+    d, n = shape
+    for seed in [0, 1, 7, 12345, 2 ** 63 - 1, *range(100, 120)]:
+        points = _scrambled_halton(d, n, seed)
+        assert_same_bits(ndtri(points), scipy_ndtri(points))
+
+
+def test_ndtri_is_scipys_bit_for_bit_in_the_tails_and_at_the_ends():
+    from scipy.special import ndtri as scipy_ndtri
+
+    u = np.random.default_rng(3).uniform(size=20000)
+    exp_m2 = 0.13533528323661269189
+    edges = np.array([exp_m2, np.nextafter(exp_m2, 0.0),
+                      np.nextafter(exp_m2, 1.0), 1.0 - exp_m2,
+                      np.nextafter(1.0 - exp_m2, 1.0), 0.5,
+                      np.nextafter(1.0, 0.0), 5e-324, 1e-300, 1e-15])
+    # u^20 reaches past exp(-32), where the far-tail polynomial takes over
+    for y in (u, u ** 20, 1.0 - u ** 20, u ** 400, edges):
+        assert_same_bits(ndtri(y), scipy_ndtri(y))
+    assert_same_bits(ndtri(np.array([0.0, 1.0])), np.array([-np.inf, np.inf]))
+    assert np.isnan(ndtri(np.array([-0.5, 1.5, np.nan]))).all()
 
 
 def test_quasi_random_frequencies_are_fortran_ordered_and_read_only():

@@ -8,6 +8,7 @@ runs.  Both of its round kinds run on trimmed copies of its configs.
 
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,21 @@ def test_checked_and_traced_rounds_run(worker, tmp_path):
     assert len(runs) == 2
     assert layers["core.train.env_steps"] == train_steps
     assert layers["emuq.end_episode.calls"] == 2
+
+
+def test_hooked_signatures_are_unchanged():
+    # perfbench's recording wrappers call these with the arguments named
+    # here, and its tracer wraps features.sample_rff by module attribute.
+    from exval import bayes, emuq, features
+
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    assert params(bayes.BayesianLinearModel.observe) == ["self", "phi", "y"]
+    assert params(bayes.BayesianLinearModel.centered_quadratic) == [
+        "self", "phi"]
+    assert params(emuq.EmuQ.exploration_reward) == [
+        "self", "obs_next", "rng"]
+    assert params(features.sample_rff) == [
+        "lengthscales", "n_spectral", "scheme", "seed"]
+    assert bayes.BayesianLinearModel(4).n_features == 4
