@@ -65,9 +65,10 @@ class ExperimentConfig:
         # Here, not in from_dict, so dataclasses.replace checks them too.
         experiment = self.experiment
         if (not isinstance(experiment, str) or "/" in experiment
-                or experiment in ("", ".", "..")):
+                or "\0" in experiment or experiment in ("", ".", "..")):
             raise ConfigError("experiment must name one results directory "
-                              f"(no '/', '.' or '..'), got {experiment!r}")
+                              "(no '/', NUL, '.' or '..'), "
+                              f"got {experiment!r}")
         for name in ("n_episodes", "n_seeds", "base_seed"):
             try:
                 count = whole_number(name, getattr(self, name))
@@ -269,7 +270,9 @@ def run_rows_to_csv(config: ExperimentConfig, result: RunResult) -> str:
 
 
 def resolve_out_dir(config: ExperimentConfig, out_flag=None) -> Path:
-    if out_flag:
+    if out_flag is not None:
+        if not str(out_flag):
+            raise ConfigError("--out must name a directory, got ''")
         return Path(out_flag)
     root = os.environ.get(RESULTS_DIR_VAR, "results")
     return Path(root) / config.experiment

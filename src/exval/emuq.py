@@ -33,18 +33,20 @@ it next, as on-policy SARSA does: one action choice per state.  At each
 episode end the weight means are re-solved to the fixed point of the
 bootstrapped regression over the whole transition store, with
 exploration rewards recomputed under the current covariance first, so
-stale per-step targets get corrected.  The re-solve takes exact Newton
-(LSTD) steps, each one linear solve with the greedy action and clipping
-of every stored row held fixed, as in least-squares policy iteration;
-if the greedy pattern keeps cycling it goes on with plain fixed-point
-steps, and takes a Newton step again whenever two plain steps in a row
-see the same pattern.  A head's Newton steps share one matrix
-S Phi^T Psi, updated by the stored rows whose pattern flipped since its
-last Newton step, and rebuilt only when so many flipped that a full
-build costs less (``NewtonMatrix``).  After the re-solve the
-covariance's eigenvalues are checked: the largest bounds every unit-norm
-feature's predictive variance by V_max, and the smallest must stay
-positive.
+stale per-step targets get corrected.  The re-solve reads no rng
+(``end_episode`` draws its candidate actions), and one loop solves both
+heads, which differ only in targets, weights and bootstrap bounds.  It
+takes exact Newton (LSTD) steps, each one linear solve with the greedy
+action and clipping of every stored row held fixed, as in least-squares
+policy iteration; if the greedy pattern keeps cycling it goes on with
+plain fixed-point steps, and takes a Newton step again whenever two
+plain steps in a row see the same pattern.  A head's Newton steps go
+through one ``NewtonMatrix``, whose matrix S Phi^T Psi is updated by the
+stored rows whose pattern flipped since its last Newton step, and
+rebuilt only when so many flipped that a full build costs less.  After
+the re-solve the covariance's eigenvalues are checked: the largest
+bounds every unit-norm feature's predictive variance by V_max, and the
+smallest must stay positive.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def angle_sum_rows(cs, ss, ca, sa):
 
 class NewtonMatrix:
     """S Phi^T Psi for one head's episode-end re-solve, kept across its
-    Newton steps.
+    Newton steps, and the held-pattern solve that uses it.
 
     Row i of Psi is the unscaled next-state feature row of stored
     transition i at its chosen sweep candidate ``k_star[i]``, or zero
@@ -110,17 +112,18 @@ class NewtonMatrix:
     S Phi_F^T (Psi_F,new - Psi_F,old) = (Phi_F S)^T dPsi_F, S being
     symmetric.  That costs 4|F|M^2 flops against 2NM^2 + 2M^3 for a full
     build (N stored rows, M features), so the first pattern, and any
-    pattern with 2|F| >= N + M, is built in full.  The full builds,
-    the row updates and the rows those applied are counted into the
-    caller's ``traffic`` dict.
+    pattern with 2|F| >= N + M, is built in full.  ``traffic`` counts
+    the full builds, the row updates and the rows those applied.  The
+    discount ``gamma`` and noise precision ``beta`` enter only ``solve``.
     """
 
-    def __init__(self, S, Phi, Cs, Ss, Ca, Sa, traffic: dict):
+    def __init__(self, S, Phi, Cs, Ss, Ca, Sa, gamma, beta):
         self.S, self.Phi = S, Phi
         self.Cs, self.Ss, self.Ca, self.Sa = Cs, Ss, Ca, Sa
+        self.gamma, self.beta = gamma, beta
         self.k_star = self.free = self.matrix = None
-        self.traffic = traffic
-        traffic.update(newton_full=0, newton_by_rows=0, flipped_rows=0)
+        self.traffic = {"newton_full": 0, "newton_by_rows": 0,
+                        "flipped_rows": 0}
 
     def _psi(self, rows, k_star, free):
         k = k_star[rows]
@@ -156,6 +159,29 @@ class NewtonMatrix:
         self.k_star, self.free = k_star, free
         self.traffic["newton_full"] += 1
         return self.matrix
+
+    def solve(self, targets, k_star, boot, free):
+        """One Newton (LSTD) step: the exact fixed point of the re-solve's
+        map with its pattern held.  Rows where ``free`` is False keep
+        their bootstrap ``boot`` (``held`` is boot there, 0 elsewhere),
+        the rest bootstrap linearly through their Psi row at ``k_star``,
+        so m solves
+
+            (I - gamma beta S Phi^T Psi / sqrt(M/2)) m
+                = beta S Phi^T (targets + gamma held).
+
+        None if that system is singular or its solution is not finite.
+        """
+        g, b = self.gamma, self.beta
+        scale = 1.0 / np.sqrt(self.Ca.shape[1])
+        held = np.where(free, 0.0, boot)
+        lhs = np.eye(len(self.S)) - (g * b * scale) * self.update(k_star, free)
+        rhs = self.S @ (b * (self.Phi.T @ (targets + g * held)))
+        try:
+            m = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        return m if np.isfinite(m).all() else None
 
 
 @dataclass
@@ -437,14 +463,16 @@ class EmuQ:
         return a_next
 
     def end_episode(self, kappa: float, rng) -> None:
-        """Re-solve both heads over the store, then check the covariance.
+        """Re-solve both heads over the store, with candidate actions
+        drawn here from ``rng``, then check the covariance.
 
         The largest eigenvalue of S over beta is the largest predictive
         variance of any unit-norm feature, so it must not exceed V_max;
         the smallest eigenvalue must stay positive, and S finite.
         """
         if self._n:
-            self._sweep(kappa, rng)
+            self._sweep(kappa,
+                        self._actions(self.config.n_sweep_candidates, rng))
         eig = np.linalg.eigvalsh(self.model.S)
         var_max = float(eig[-1]) / self.config.beta
         self.var_max_seen = max(self.var_max_seen, var_max)
@@ -456,157 +484,104 @@ class EmuQ:
 
     # -- episode sweep ---------------------------------------------------
 
-    def _sweep(self, kappa: float, rng) -> None:
-        """Fixed-point re-solve of both weight means over the full store.
+    def _sweep(self, kappa: float, actions) -> None:
+        """Re-solve both weight means over the full store, with policy
+        candidates ``actions``.
 
-        Policy evaluation inside the sweep maximizes Q + kappa U over a
-        shared candidate action set; the trigonometric split of the
-        feature map lets all (stored state, candidate) values come from
-        two matrix products per iteration, and the next-state feature
-        rows of the chosen actions from elementwise products.
+        Exploration rewards are recomputed under the current S first.
+        Then one loop solves Q and then U, each for the fixed point of
+        m <- T(m) = beta S Phi^T (targets + gamma boot(m)), the bootstrap
+        taken at the candidate maximizing the head's weights on the (Q, U)
+        values, (1, kappa) or (kappa, 1), with the other head's means held
+        (U sees Q's new ones), and projected to the head's attainable
+        range.  All (stored state, candidate) values come from two matrix
+        products per iteration (``pair_value_matrix``).
+
+        Up to NEWTON_STEPS Newton steps (``NewtonMatrix.solve``) come
+        first; once the argmax and clip pattern repeats, T(m) = m to
+        rounding.  The pattern can cycle, so if they run out the loop
+        goes on with plain steps m <- T(m) from the lowest-residual point
+        seen, and takes one Newton step in place of a plain step whose
+        pattern equals the step before's (unless that system is
+        singular).  A head converges once no weight moves by more than
+        SWEEP_TOL; a plain step then installs the point whose move was
+        measured, not one step past it, where the map need not contract.
+        The plain phase stays because stopping at the Newton cap instead
+        left most heads of the 40-state chain unconverged and slowed its
+        learning (figures in CHANGES.md).  A head whose values leave the
+        finite range keeps its incremental per-step fit.  The loop writes
+        the re-solve's ``sweep_history`` entry: the store size, and per
+        head its iterations, convergence and NewtonMatrix traffic.
         """
         c = self.config
         self.model.symmetrize()
         S = self.model.S
         store = self.state_arrays()
-        Phi, r = store["phi_rows"], store["rewards"]
-        absorbing = store["absorbing"]
-        rows = np.arange(len(r))
-        n_spectral = self.fmap.n_spectral
-        scale = 1.0 / np.sqrt(n_spectral)
-
+        Phi, absorbing = store["phi_rows"], store["absorbing"]
+        rows = np.arange(len(absorbing))
+        scale = 1.0 / np.sqrt(self.fmap.n_spectral)
         proj_s = self.fmap.state_projection(store["next_obs"])
         Cs, Ss = np.cos(proj_s), np.sin(proj_s)
-
-        actions = self._actions(c.n_sweep_candidates, rng)
         proj_a = self.fmap.action_projection(actions)
         Ca, Sa = np.cos(proj_a), np.sin(proj_a)
+        r_e = self._recompute_exploration_rewards(Cs, Ss)
 
-        def pair_values(m):
-            return pair_value_matrix(Cs, Ss, Ca, Sa, m, scale)
-
-        (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
-
-        def newton_step(targets, k_star, raw, boot, newton_matrix):
-            """Exact fixed point of the map with its pattern held: rows
-            whose bootstrap is clipped or absorbing keep their constant
-            value, the rest bootstrap linearly through the next-state
-            features Psi of their chosen action, so m solves
-
-                (I - gamma beta S Phi^T Psi) m
-                    = beta S Phi^T (targets + gamma const).
-
-            S Phi^T Psi comes from the head's NewtonMatrix, which updates
-            it by the rows whose pattern flipped since its last Newton
-            step.  Returns None if that system is singular or its
-            solution is not finite.
-            """
-            free = (boot == raw) & ~absorbing
-            const = np.where(free, 0.0, boot)
-            sa = newton_matrix.update(k_star, free)
-            lhs = np.eye(len(S)) - (c.gamma * c.beta * scale) * sa
-            rhs = S @ (c.beta * (Phi.T @ (targets + c.gamma * const)))
-            try:
-                m = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            return m if np.isfinite(m).all() else None
-
-        def solve_head(targets, m0, t0, values_other, weight_self,
-                       weight_other, boot_lo, boot_hi, traffic):
-            """Find the fixed point of m <- T(m) = beta S Phi^T (targets +
-            gamma boot(m)), the bootstrap taken at the balanced argmax
-            action and projected to the head's attainable value range.
-
-            Up to NEWTON_STEPS exact Newton (LSTD) steps come first, each
-            solving for the fixed point under the current argmax and clip
-            pattern; once the pattern repeats, T(m) = m to rounding.  The
-            pattern can cycle, so if they run out the loop continues with
-            plain steps m <- T(m) from the lowest-residual point seen.
-            Once a plain step's pattern equals the step before's, the
-            plain steps have settled on it, and one Newton step for that
-            pattern replaces the plain step (a plain step is taken if that
-            system is singular); NEWTON_STEPS bounds only the Newton steps
-            before the first plain one.  The head converges once no weight
-            moves by more than SWEEP_TOL.  A plain step then installs the
-            point whose move was measured (its targets are known), not one
-            step past it, where the map need not contract.  The plain
-            phase stays because stopping at the Newton cap instead left
-            most heads of the 40-state chain unconverged and slowed its
-            learning (figures in CHANGES.md).
-
-            The head's Newton steps share one NewtonMatrix, which counts
-            its traffic into ``traffic``.  If values leave the finite
-            range the head falls back to its incremental per-step fit
-            (m0, t0) rather than installing diverged values.
-            """
-            newton_matrix = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa, traffic)
-            m = m0.copy()
-            t_m = None                    # targets of m, once m = S t_m
-            newton = True
+        m_heads, t_heads = [self.model.m[:, 0], self.model.m[:, 1]], []
+        history = {"n": len(rows)}
+        heads = zip((store["rewards"], r_e), ((1.0, kappa), (kappa, 1.0)),
+                    self._boot_bounds())
+        for i, (targets, (w_self, w_other), (lo, hi)) in enumerate(heads):
+            values_other = pair_value_matrix(Cs, Ss, Ca, Sa, m_heads[1 - i],
+                                             scale)
+            newton = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa, c.gamma, c.beta)
+            m, t_m = m_heads[i], None     # t_m: targets of m, once m = S t_m
+            newton_phase = True
             best_delta, best_next = np.inf, None
             pattern = None                # the plain step before's
             with np.errstate(over="ignore", invalid="ignore"):
                 for it in range(SWEEP_MAX_ITERS):
-                    values = pair_values(m)
-                    balanced = (weight_self * values
-                                + weight_other * values_other)
+                    values = pair_value_matrix(Cs, Ss, Ca, Sa, m, scale)
+                    balanced = w_self * values + w_other * values_other
                     k_star = np.argmax(balanced, axis=1)
                     raw = values[rows, k_star]
-                    boot = np.clip(raw, boot_lo, boot_hi)
+                    boot = np.clip(raw, lo, hi)
                     boot[absorbing] = 0.0
                     t = c.beta * (Phi.T @ (targets + c.gamma * boot))
                     m_new = S @ t
                     delta = float(np.max(np.abs(m_new - m)))
-                    if not np.isfinite(delta):
-                        return m0.copy(), t0.copy(), it + 1, False
+                    if not np.isfinite(delta):      # keep the per-step fit
+                        m_new, t = m_heads[i], self.model.t[:, i]
+                        break
                     if delta < SWEEP_TOL:
-                        if t_m is None:
-                            return m_new, t, it + 1, True
-                        return m, t_m, it + 1, True
-                    if not newton:
-                        seen, pattern = pattern, np.append(k_star,
-                                                           boot == raw)
-                        if seen is not None and np.array_equal(seen, pattern):
-                            m_newton = newton_step(targets, k_star, raw,
-                                                   boot, newton_matrix)
-                            if m_newton is not None:
-                                m, t_m = m_newton, None
-                                continue
-                        m, t_m = m_new, t
-                        continue
-                    if delta < best_delta:
-                        best_delta, best_next = delta, (m_new, t)
-                    m = (newton_step(targets, k_star, raw, boot,
-                                     newton_matrix)
-                         if it < NEWTON_STEPS else None)
-                    if m is None:
-                        newton = False
+                        if t_m is not None:
+                            m_new, t = m, t_m
+                        break
+                    if newton_phase:
+                        if delta < best_delta:
+                            best_delta, best_next = delta, (m_new, t)
+                        take_newton = it < NEWTON_STEPS
+                    else:
+                        seen, pattern = pattern, np.append(k_star, boot == raw)
+                        take_newton = (seen is not None
+                                       and np.array_equal(seen, pattern))
+                    free = (boot == raw) & ~absorbing
+                    m_newton = (newton.solve(targets, k_star, boot, free)
+                                if take_newton else None)
+                    if m_newton is not None:
+                        m, t_m = m_newton, None
+                    elif newton_phase:
+                        newton_phase = False
                         m, t_m = best_next
-            return m_new, t, SWEEP_MAX_ITERS, False
-
-        m_q0 = self.model.m[:, 0]
-        m_u0 = self.model.m[:, 1]
-        traffic = {"q": {}, "u": {}}
-
-        values_u_fixed = pair_values(m_u0)
-        m_q, t_q, iters_q, ok_q = solve_head(r, m_q0, self.model.t[:, 0],
-                                             values_u_fixed, 1.0, kappa,
-                                             q_lo, q_hi, traffic["q"])
-
-        r_e = self._recompute_exploration_rewards(Cs, Ss)
-
-        values_q_fixed = pair_values(m_q)
-        m_u, t_u, iters_u, ok_u = solve_head(r_e, m_u0, self.model.t[:, 1],
-                                             values_q_fixed, kappa, 1.0,
-                                             u_lo, u_hi, traffic["u"])
-
-        self.model.set_targets(np.column_stack([t_q, t_u]))
-        history = {"n": len(r), "iters_q": iters_q, "converged_q": ok_q,
-                   "iters_u": iters_u, "converged_u": ok_u}
-        for head, counts in traffic.items():
+                    else:
+                        m, t_m = m_new, t
+            m_heads[i] = m_new
+            t_heads.append(t)
+            head = "qu"[i]
+            history.update({f"iters_{head}": it + 1,
+                            f"converged_{head}": delta < SWEEP_TOL})
             history.update({f"{name}_{head}": count
-                            for name, count in counts.items()})
+                            for name, count in newton.traffic.items()})
+        self.model.set_targets(np.column_stack(t_heads))
         self.sweep_history.append(history)
 
     def _recompute_exploration_rewards(self, Cs, Ss):

@@ -1131,6 +1131,7 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         "experiment outside the results root": (
             {"experiment": "../escape"}, "experiment must"),
         "experiment .": ({"experiment": "."}, "experiment must"),
+        "experiment holding NUL": ({"experiment": "a\0b"}, "experiment must"),
         "n_episodes": ({"n_episodes": "ten"}, "bad run counts"),
         "fractional n_episodes": ({"n_episodes": 2.7}, "bad run counts"),
         "bool n_seeds": ({"n_seeds": True}, "bad run counts"),
@@ -1301,17 +1302,23 @@ def test_cli_bad_values_exit_2(tmp_path, capsys):
         assert not (tmp_path / "out").exists(), case
 
 
-def test_cli_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+def test_cli_run_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(tiny_dict()))
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
-    for out in (afile, afile / "sub"):
+    # an empty --out is not read as no --out, which would write results/
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXVAL_RESULTS_DIR", raising=False)
+    for out, message in ((afile, f"cannot make results directory {afile}: "),
+                         (afile / "sub", "cannot make results directory "
+                                         f"{afile / 'sub'}: "),
+                         ("", "--out must name a directory, got ''")):
         code = main(["run", "--config", str(cfg_path), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2, err
-        assert err.startswith("error: cannot make results directory "
-                              f"{out}: "), err
+        assert err.startswith(f"error: {message}"), err
         assert afile.read_text() == "keep\n"
         assert sorted(tmp_path.iterdir()) == [afile, cfg_path]
 

@@ -635,30 +635,34 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def record_resolves(agent):
     """Keep, for every episode-end re-solve, what its fixed-point map
-    depends on: its candidate draw, the covariance, the weight means
-    before and after, and the bootstrap bounds."""
-    records, draws = [], []
-    actions, sweep = agent._actions, agent._sweep
+    depends on: its candidate actions, the covariance, the weight means
+    before and after, and the bootstrap bounds.  A re-solve's record
+    holds its actions while it runs."""
+    records = []
+    sweep = agent._sweep
 
-    def recording_actions(n, rng=None):
-        draws.append(actions(n, rng))
-        return draws[-1]
+    def recording_sweep(kappa, actions):
+        records.append({"kappa": kappa, "actions": actions,
+                        "m_before": agent.model.m.copy()})
+        sweep(kappa, actions)
+        records[-1].update(
+            n=len(agent.state_arrays()["rewards"]), S=agent.model.S.copy(),
+            m=agent.model.m.copy(), bounds=agent._boot_bounds(),
+            history=agent.sweep_history[-1])
 
-    def recording_sweep(kappa, rng):
-        draws.clear()
-        m_before = agent.model.m.copy()
-        sweep(kappa, rng)
-        (sweep_actions,) = draws
-        records.append({
-            "kappa": kappa, "n": len(agent.state_arrays()["rewards"]),
-            "actions": sweep_actions,
-            "S": agent.model.S.copy(), "m_before": m_before,
-            "m": agent.model.m.copy(), "bounds": agent._boot_bounds(),
-            "history": agent.sweep_history[-1]})
-
-    agent._actions = recording_actions
     agent._sweep = recording_sweep
     return records
+
+
+def shipped_agent(config_name, seed=0):
+    """A shipped config's env, streams and agent for ``seed``, with every
+    re-solve recorded: (config, env, env_rng, agent_rng, agent,
+    records)."""
+    config = load_config(CONFIG_DIR / f"{config_name}.json")
+    env = make_env(config.env_name, **config.env_params)
+    env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
+    agent = make_agent(config, env, agent_rng)
+    return config, env, env_rng, agent_rng, agent, record_resolves(agent)
 
 
 def resolve_residuals(agent, rec):
@@ -701,6 +705,16 @@ def resolve_residuals(agent, rec):
     return np.max(np.abs(t_q - m_q)), np.max(np.abs(t_u - m_u))
 
 
+def assert_at_fixed_points(agent, records):
+    """Both heads of every recorded re-solve converged, and the map
+    rebuilt by brute force moves neither by more than 1e-6."""
+    for rec in records:
+        history = rec["history"]
+        assert history["converged_q"] and history["converged_u"], history
+        res_q, res_u = resolve_residuals(agent, rec)
+        assert res_q <= 1e-6 and res_u <= 1e-6, (history, res_q, res_u)
+
+
 def record_choices(env, agent):
     """Per episode, count the agent's ``act`` calls and keep each step's
     action as passed to ``env.step`` next to what ``observe`` returned
@@ -731,11 +745,8 @@ def mountaincar_resolves():
     """The shipped mountain-car agent on seed 0: two episodes at
     kappa 0.1, then one at kappa 0, with every re-solve and every
     action choice recorded."""
-    config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
-    env = make_env(config.env_name, **config.env_params)
-    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
-    agent = make_agent(config, env, agent_rng)
-    records = record_resolves(agent)
+    _, env, env_rng, agent_rng, agent, records = shipped_agent(
+        "mountaincar_emuq")
     episodes = record_choices(env, agent)
     for kappa in (0.1, 0.1, 0.0):
         episodes.append({"acts": 0, "stepped": [], "absorbing": [],
@@ -760,12 +771,7 @@ def test_one_action_choice_per_state_while_learning(mountaincar_resolves):
 def test_resolve_reaches_its_fixed_point(mountaincar_resolves):
     agent, records, _ = mountaincar_resolves
     assert [rec["kappa"] for rec in records] == [0.1, 0.1, 0.0]
-    for rec in records:
-        assert rec["history"]["converged_q"], rec["history"]
-        assert rec["history"]["converged_u"], rec["history"]
-        res_q, res_u = resolve_residuals(agent, rec)
-        assert res_q <= 1e-6 and res_u <= 1e-6, (rec["history"], res_q,
-                                                  res_u)
+    assert_at_fixed_points(agent, records)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -773,21 +779,13 @@ def test_resolve_converges_once_plain_steps_take_newton_steps(seed):
     # Plain steps that settle on one argmax and clip pattern take a
     # Newton step for it, so no head of the shipped mountain-car config
     # is left at the iteration cap over its first episodes.
-    config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
-    env = make_env(config.env_name, **config.env_params)
-    env_rng, agent_rng, _ = seed_streams(config.base_seed, seed)
-    agent = make_agent(config, env, agent_rng)
-    records = record_resolves(agent)
+    config, env, env_rng, agent_rng, agent, records = shipped_agent(
+        "mountaincar_emuq", seed)
     for _ in range(4):
         run_episode(env, agent, env_rng, agent_rng,
                     kappa=config.schedule_params["kappa0"])
     assert len(records) == 4
-    for rec in records:
-        assert rec["history"]["converged_q"], rec["history"]
-        assert rec["history"]["converged_u"], rec["history"]
-        res_q, res_u = resolve_residuals(agent, rec)
-        assert res_q <= 1e-6 and res_u <= 1e-6, (rec["history"], res_q,
-                                                  res_u)
+    assert_at_fixed_points(agent, records)
 
 
 def test_posterior_stays_spd_and_matches_direct_solve(mountaincar_resolves):
@@ -806,11 +804,8 @@ def assert_first_resolve_finite_and_honest(config_name):
     """Run seed 0's first episode of a shipped config at its kappa0; its
     re-solve must go past the Newton steps, install finite weights and
     flag convergence only where the map's residual says so."""
-    config = load_config(CONFIG_DIR / f"{config_name}.json")
-    env = make_env(config.env_name, **config.env_params)
-    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
-    agent = make_agent(config, env, agent_rng)
-    records = record_resolves(agent)
+    config, env, env_rng, agent_rng, agent, records = shipped_agent(
+        config_name)
     run_episode(env, agent, env_rng, agent_rng,
                 kappa=config.schedule_params["kappa0"])
     (rec,) = records
@@ -844,18 +839,8 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
     # Newton steps in its U head: a first full build, row updates, and
     # rebuilds once enough rows flip.  Each step's S Phi^T Psi must match
     # one built from scratch out of explicit embeddings.
-    config = load_config(CONFIG_DIR / "mountaincar_emuq.json")
-    env = make_env(config.env_name, **config.env_params)
-    env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
-    agent = make_agent(config, env, agent_rng)
-    draws = []
-    actions = agent._actions
-
-    def recording_actions(n, rng=None):
-        draws.append(actions(n, rng))
-        return draws[-1]
-
-    agent._actions = recording_actions
+    config, env, env_rng, agent_rng, agent, records = shipped_agent(
+        "mountaincar_emuq")
     steps, flips, zero_flips, patterns = [], [], [], {}
     update = emuq.NewtonMatrix.update
 
@@ -874,7 +859,7 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
         patterns[id(newton)] = k_star.copy(), free.copy()
         scale = np.sqrt(agent.fmap.n_spectral)
         psi = agent.fmap.embed_pairs(agent.state_arrays()["next_obs"],
-                                     draws[-1][k_star]) * scale
+                                     records[-1]["actions"][k_star]) * scale
         psi[~free] = 0.0
         want = newton.S @ (newton.Phi.T @ psi)
         # max-abs error relative to the matrix's scale; an all-clipped
@@ -901,29 +886,59 @@ def test_newton_matrix_matches_a_fresh_build_at_every_newton_step(
     assert sum(zero_flips) > 0
 
 
-def test_newton_matrix_skips_rows_whose_psi_stays_zero():
-    # A row whose argmax moves while it stays clipped applies nothing: the
-    # update counts no row and leaves the matrix as a fresh build has it.
-    rng = np.random.default_rng(5)
-    n, h = 6, 4
+def small_newton_matrix(seed=5, n=6, h=4):
+    """A NewtonMatrix (gamma 0.9, beta 2) over n hand-built stored rows, 3
+    candidates and M = 2h features, and the angles behind its cos/sin."""
+    rng = np.random.default_rng(seed)
     Phi = rng.standard_normal((n, 2 * h))
     S = np.eye(2 * h) + 0.1 * np.ones((2 * h, 2 * h))
     angles_s, angles_a = rng.uniform(0, 6, (n, h)), rng.uniform(0, 6, (3, h))
-    parts = (np.cos(angles_s), np.sin(angles_s), np.cos(angles_a),
-             np.sin(angles_a))
-    traffic = {}
-    newton = emuq.NewtonMatrix(S, Phi, *parts, traffic)
-    k_star = np.zeros(n, dtype=int)
+    newton = emuq.NewtonMatrix(S, Phi, np.cos(angles_s), np.sin(angles_s),
+                               np.cos(angles_a), np.sin(angles_a), 0.9, 2.0)
+    return newton, angles_s, angles_a
+
+
+def test_newton_matrix_skips_rows_whose_psi_stays_zero():
+    # A row whose argmax moves while it stays clipped applies nothing: the
+    # update counts no row and leaves the matrix as a fresh build has it.
+    newton, *_ = small_newton_matrix()
+    k_star = np.zeros(6, dtype=int)
     free = np.array([True, False, True, True, False, True])
     newton.update(k_star, free)
     moved = k_star.copy()
     moved[[1, 4]] = 2                       # both rows stay clipped
     got = newton.update(moved, free).copy()
-    assert traffic == {"newton_full": 1, "newton_by_rows": 1,
-                       "flipped_rows": 0}
-    fresh = emuq.NewtonMatrix(S, Phi, *parts, {}).update(moved, free)
+    assert newton.traffic == {"newton_full": 1, "newton_by_rows": 1,
+                              "flipped_rows": 0}
+    fresh = small_newton_matrix()[0].update(moved, free)
     npt.assert_array_equal(got, fresh)
     moved = moved.copy()
     moved[[2, 4]] = 1                       # the free row counts
     newton.update(moved, free)
-    assert traffic["flipped_rows"] == 1
+    assert newton.traffic["flipped_rows"] == 1
+
+
+def test_newton_solve_gives_the_held_pattern_fixed_point_or_none():
+    # With the pattern held, free rows bootstrap through their chosen
+    # candidate's next-state row and the others keep their bootstrap, so
+    # the map T is affine and solve returns its fixed point.
+    newton, angles_s, angles_a = small_newton_matrix(seed=11)
+    n, h = angles_s.shape
+    targets, boot = np.random.default_rng(12).standard_normal((2, n))
+    k_star = np.array([0, 2, 1, 1, 0, 2])
+    free = np.array([True, False, True, True, False, True])
+    m = newton.solve(targets, k_star, boot, free)
+    angles = angles_s + angles_a[k_star]
+    psi = np.hstack([np.cos(angles), np.sin(angles)]) / np.sqrt(h)
+    held = targets + 0.9 * np.where(free, psi @ m, boot)
+    T_m = 2.0 * newton.S @ (newton.Phi.T @ held)
+    assert np.max(np.abs(T_m - m)) <= 1e-12 * np.max(np.abs(m))
+    # One free row whose next-state row is its feature row, with S = I and
+    # gamma beta = 1: I - S Phi^T Psi = diag(0, 1) is exactly singular.
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    singular = emuq.NewtonMatrix(np.eye(2), np.array([[1.0, 0.0]]), one,
+                                 zero, one, zero, 1.0, 1.0)
+    assert singular.solve(np.ones(1), np.zeros(1, dtype=int), np.zeros(1),
+                          np.ones(1, dtype=bool)) is None
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(2) - singular.matrix, np.ones(2))

@@ -43,6 +43,14 @@ def test_checked_and_traced_rounds_run(worker, tmp_path):
     # episodes of 20 steps; every other check must pass.
     assert problems == ["mountaincar_emuq: 0 of 1 seeds reach the goal "
                         "with kappa > 0, need 1"]
+    # perfbench reads sweep_history by name and counts a missing one as no
+    # re-solve, so the EmuQ record must show both episodes' re-solves.
+    (emuq_run,) = [run for run in runs
+                   if run["experiment"] == "mountaincar_emuq"]
+    episodes = worker.checks.read_runs(tmp_path / "checked"
+                                       / "mountaincar_emuq", 1)[0]
+    assert emuq_run["resolves"] == 4 and emuq_run["iters"] >= 4
+    assert emuq_run["store_rows"] == sum(ep[1] for ep in episodes) > 0
 
     _, runs, layers, _ = worker.traced_round(configs, tmp_path / "traced",
                                              probe=None)
