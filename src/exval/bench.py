@@ -17,7 +17,6 @@ import json
 import os
 import time
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -33,7 +32,7 @@ from .schedules import make_schedule
 from .tabular import (AdditiveBonusAgent, EpsilonGreedyAgent,
                       ExplorationValuesAgent)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 RESULTS_DIR_VAR = "EXVAL_RESULTS_DIR"
 CSV_HEADER = ["run_id", "seed", "episode", "steps", "return", "kappa",
               "reached_goal", "first_goal_flag"]
@@ -347,8 +346,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int = 1,
     workers = min(workers, config.n_seeds, usable_cpus())
     ordered: list[RunResult] = []
     failure = None
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    if workers > 1:
+        # imported here: it loads multiprocessing, which serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool = nullcontext()
+    with pool as pool:
         runs = (map if pool is None else pool.map)(run_seed,
                                                    range(config.n_seeds))
         try:

@@ -23,8 +23,8 @@ are cached so that its values at s' take two small products from one
 state projection; in ``act`` a set drawn per call (all actions, or
 uniform box samples plus endpoints).  The cos/sin of the two latest
 state projections are cached too, so a learning step, whose s is the
-step before's s', projects only s' for its stored row, r_e(s') and its
-choice at s'.
+step before's s' and whose a is the grid row chosen there, projects
+only s' for its stored row, r_e(s') and its choice at s'.
 
 Per step the posterior absorbs the transition through a rank-1 update
 with bootstrapped targets.  The bootstrap is taken at the action chosen
@@ -33,17 +33,20 @@ it next, as on-policy SARSA does: one action choice per state.  At each
 episode end the weight means are re-solved to the fixed point of the
 bootstrapped regression over the whole transition store, with
 exploration rewards recomputed under the current covariance first, so
-stale per-step targets get corrected.  The re-solve reads no rng
-(``end_episode`` draws its candidate actions), and one loop solves both
-heads, which differ only in targets, weights and bootstrap bounds.  It
-takes exact Newton (LSTD) steps, each one linear solve with the greedy
-action and clipping of every stored row held fixed, as in least-squares
-policy iteration; if the greedy pattern keeps cycling it goes on with
-plain fixed-point steps, and takes a Newton step again whenever two
-plain steps in a row see the same pattern.  A head's Newton steps go
-through one ``NewtonMatrix``, whose matrix S Phi^T Psi is updated by the
-stored rows whose pattern flipped since its last Newton step, and
-rebuilt only when so many flipped that a full build costs less.  After
+stale per-step targets get corrected.  The re-solve reads no rng: its
+policy candidates are a fixed subset of the grid (all actions when
+discrete, 20 stratified box midpoints plus both endpoints when
+continuous), and one loop solves both heads, which differ only in
+targets, weights and bootstrap bounds.  It takes exact Newton (LSTD)
+steps, each one linear solve with the greedy action and clipping of
+every stored row held fixed, as in least-squares policy iteration; if
+the greedy pattern keeps cycling it goes on with plain fixed-point
+steps, and takes a Newton step again whenever two plain steps in a row
+see the same pattern.  Each head keeps one ``NewtonMatrix`` for the
+agent's life: it carries A = Phi^T Psi and its pattern from one
+re-solve to the next, updates A by the new and flipped stored rows
+(incremental LSTD), and rebuilds it only when so many rows flipped that
+a full build costs less.  After
 the re-solve the covariance's eigenvalues are checked: the largest
 bounds every unit-norm feature's predictive variance by V_max, and the
 smallest must stay positive.
@@ -57,8 +60,8 @@ from typing import ClassVar
 import numpy as np
 
 from .bayes import BayesianLinearModel
-from .core import (EnvSpec, Transition, checked_array, real_number,
-                   unit_interval, whole_number)
+from .core import (CheckpointError, EnvSpec, Transition, checked_array,
+                   real_number, unit_interval, whole_number)
 from .features import JointRffMap, RffMap, make_joint_map
 
 # Rank-1 posterior updates between re-symmetrizations of the covariance.
@@ -73,6 +76,9 @@ NEWTON_STEPS = 10
 # Principal directions of the expectation set kept for r_e: those whose
 # second-moment eigenvalue exceeds this fraction of the largest.
 EXPECTATION_RTOL = 1e-16
+# Stored rows per block when the re-solve sums a product over the store,
+# so its scratch memory does not grow with the store.
+ROW_BLOCK = 256
 
 
 def pair_value_matrix(Cs, Ss, Ca, Sa, m, scale):
@@ -100,64 +106,111 @@ def angle_sum_rows(cs, ss, ca, sa):
 
 
 class NewtonMatrix:
-    """S Phi^T Psi for one head's episode-end re-solve, kept across its
-    Newton steps, and the held-pattern solve that uses it.
+    """One head's A = Phi^T Psi, carried from one episode-end re-solve to
+    the next, and the re-solve's held-pattern Newton steps that use it.
 
     Row i of Psi is the unscaled next-state feature row of stored
-    transition i at its chosen sweep candidate ``k_star[i]``, or zero
-    where ``free[i]`` is False (its bootstrap is clipped or absorbing).
-    S and Phi stay fixed for the whole re-solve, so between two (argmax,
-    clip) patterns the matrix changes only by the rows F whose pattern
-    flipped, leaving out rows whose Psi row is zero in both patterns:
-    S Phi_F^T (Psi_F,new - Psi_F,old) = (Phi_F S)^T dPsi_F, S being
-    symmetric.  That costs 4|F|M^2 flops against 2NM^2 + 2M^3 for a full
-    build (N stored rows, M features), so the first pattern, and any
-    pattern with 2|F| >= N + M, is built in full.  ``traffic`` counts
-    the full builds, the row updates and the rows those applied.  The
-    discount ``gamma`` and noise precision ``beta`` enter only ``solve``.
+    transition i at sweep candidate ``pattern[i]``, or zero where
+    ``pattern[i]`` is -1: its bootstrap is clipped or absorbing, or A
+    has not yet taken the row in.  The sweep candidates are fixed per
+    agent and stored rows never change, so A depends only on the pattern
+    and stays valid between re-solves.
+
+    A re-solve binds its covariance, stored rows and next-state cos/sin
+    with ``start``.  Each Newton step needs S A at its own (argmax, clip)
+    pattern, which differs from the one before only in the rows F that
+    flipped, new rows included, leaving out rows whose Psi row is zero
+    in both.  The first step updates A by Phi_F^T (Psi_F,new -
+    Psi_F,old) at 2|F|M^2 flops and forms S A at 2M^3; later steps
+    update S A in place by (Phi_F S)^T dPsi_F, S being symmetric, at
+    4|F|M^2.  A step with 2|F| >= N + M (N stored rows, M features)
+    rebuilds A instead, at 2NM^2.  ``finish`` brings A to the last
+    step's pattern by one row update and drops the re-solve's arrays, so
+    between re-solves only A and its pattern are held.  Products over
+    stored rows run in blocks of ROW_BLOCK rows.  ``traffic`` counts the
+    re-solve's full builds, row updates and the rows those applied.  The
+    sweep candidates' cos/sin ``ca``/``sa`` are fixed at construction;
+    the discount ``gamma`` and noise precision ``beta`` enter only
+    ``solve``.
     """
 
-    def __init__(self, S, Phi, Cs, Ss, Ca, Sa, gamma, beta):
-        self.S, self.Phi = S, Phi
-        self.Cs, self.Ss, self.Ca, self.Sa = Cs, Ss, Ca, Sa
+    def __init__(self, ca, sa, gamma, beta):
+        self.Ca, self.Sa = ca, sa
         self.gamma, self.beta = gamma, beta
-        self.k_star = self.free = self.matrix = None
+        n_features = 2 * ca.shape[1]
+        self.a = np.zeros((n_features, n_features))
+        self.pattern = np.empty(0, dtype=np.intp)
+        self.S = self.Phi = self.Cs = self.Ss = None
+        self.matrix = self._pattern = None    # S A at the last step's pattern
+        self.traffic = {}
+
+    def start(self, S, Phi, Cs, Ss) -> None:
+        """Bind a re-solve's covariance, stored feature rows and next-state
+        cos/sin (N x M/2 each), and zero its traffic counts."""
+        self.S, self.Phi, self.Cs, self.Ss = S, Phi, Cs, Ss
         self.traffic = {"newton_full": 0, "newton_by_rows": 0,
                         "flipped_rows": 0}
 
-    def _psi(self, rows, k_star, free):
-        k = k_star[rows]
+    def finish(self) -> None:
+        """Bring A to the last Newton step's pattern, and drop the
+        re-solve's arrays."""
+        if self._pattern is not None:
+            self._add_rows(self.a, np.flatnonzero(self._pattern
+                                                  != self.pattern),
+                           self._pattern, self.pattern)
+            self.pattern = self._pattern
+        self.S = self.Phi = self.Cs = self.Ss = None
+        self.matrix = self._pattern = None
+
+    def _add_rows(self, out, rows, new, old=None, through_s=False) -> None:
+        """out += Phi_R^T (Psi_R at ``new`` - Psi_R at ``old``), times S on
+        the left when ``through_s``, over the stored rows R, in blocks."""
+        for start in range(0, len(rows), ROW_BLOCK):
+            block = rows[start:start + ROW_BLOCK]
+            d_psi = self._psi(block, new)
+            if old is not None:
+                d_psi -= self._psi(block, old)
+            left = self.Phi[block]
+            if through_s:
+                left = left @ self.S
+            out += left.T @ d_psi
+
+    def _psi(self, rows, pattern):
+        k = pattern[rows]
         psi = angle_sum_rows(self.Cs[rows], self.Ss[rows], self.Ca[k],
                              self.Sa[k])
-        psi[~free[rows]] = 0.0
+        psi[k < 0] = 0.0
         return psi
 
     def update(self, k_star, free) -> np.ndarray:
-        """The matrix for the pattern (``k_star``, ``free``), updated in
-        place by the rows that flipped since the last call, or built in
-        full."""
-        if self.k_star is not None:
-            # a row clipped or absorbing in both patterns has zero psi in
-            # both, whatever its argmax did
-            flipped = np.flatnonzero(((k_star != self.k_star)
-                                      | (free != self.free))
-                                     & (free | self.free))
-            if 2 * len(flipped) < len(k_star) + len(self.S):
-                d_psi = (self._psi(flipped, k_star, free)
-                         - self._psi(flipped, self.k_star, self.free))
-                self.matrix += (self.Phi[flipped] @ self.S).T @ d_psi
-                self.k_star, self.free = k_star, free
-                self.traffic["newton_by_rows"] += 1
-                self.traffic["flipped_rows"] += len(flipped)
-                return self.matrix
-        self.matrix = None          # freed before its replacement is built
-        psi = self._psi(slice(None), k_star, free)
-        n_spectral = self.Ca.shape[1]
-        # full builds take two products: one Phi.T @ psi rounds differently
-        self.matrix = self.S @ np.hstack([self.Phi.T @ psi[:, :n_spectral],
-                                          self.Phi.T @ psi[:, n_spectral:]])
-        self.k_star, self.free = k_star, free
-        self.traffic["newton_full"] += 1
+        """S A for the pattern (``k_star``, ``free``), updated by the rows
+        that flipped since the last step (or since A's carried pattern,
+        at a re-solve's first step), or built in full."""
+        pattern = np.where(free, k_star, -1)
+        n, n_features = len(pattern), len(self.a)
+        old = self._pattern
+        if old is None:                 # new rows are not in A yet
+            old = np.full(n, -1, dtype=np.intp)
+            old[:len(self.pattern)] = self.pattern
+        flipped = np.flatnonzero(pattern != old)
+        if 2 * len(flipped) >= n + n_features:
+            self.matrix = None      # freed before its replacement is built
+            self.a = np.zeros((n_features, n_features))
+            self._add_rows(self.a, np.flatnonzero(pattern >= 0), pattern)
+            self.pattern = pattern
+            self.matrix = self.S @ self.a
+            self.traffic["newton_full"] += 1
+        else:
+            if self._pattern is None:
+                self._add_rows(self.a, flipped, pattern, old)
+                self.pattern = pattern
+                self.matrix = self.S @ self.a
+            else:
+                self._add_rows(self.matrix, flipped, pattern, old,
+                               through_s=True)
+            self.traffic["newton_by_rows"] += 1
+            self.traffic["flipped_rows"] += len(flipped)
+        self._pattern = pattern
         return self.matrix
 
     def solve(self, targets, k_star, boot, free):
@@ -258,6 +311,8 @@ class EmuQ:
         self.posterior_violations = 0
         # cos/sin of recent state projections, keyed by the state's bytes
         self._cos_sin: dict[bytes, tuple] = {}
+        # (action, grid row) that observe returned last, or None
+        self._chosen = None
         if rng is None:
             return
         self.fmap = make_joint_map(
@@ -298,7 +353,12 @@ class EmuQ:
 
         The grid is every discrete action, or n_action_candidates
         stratified midpoints of the box plus both endpoints; its action
-        cos/sin are cached with it for ``_choose``.
+        cos/sin are cached with it for ``_choose``.  The re-solve's
+        candidates are a fixed subset of its rows: every discrete action,
+        or every fifth midpoint (rows 2, 7, ..., 97, which equal the
+        n_sweep_candidates stratified midpoints bit for bit) plus both
+        endpoints.  Each head's ``NewtonMatrix`` is built over them here,
+        empty, as A depends on the map.
         """
         actions = self._actions(self.config.n_expectation_samples)
         proj_a = self.fmap.action_projection(actions)
@@ -310,13 +370,22 @@ class EmuQ:
         self._expect_rows = np.hsplit(rows, 2)
 
         self._cos_sin = {}      # cached under the map this replaces
+        self._chosen = None
 
-        grid = self._actions(self.config.n_action_candidates)
+        c = self.config
+        grid = self._actions(c.n_action_candidates)
+        sweep = slice(None)
         if not self.spec.discrete_actions:
             grid = np.vstack([grid, self.spec.action_low,
                               self.spec.action_high])
+            k = c.n_action_candidates
+            stride = k // c.n_sweep_candidates
+            sweep = np.r_[stride // 2:k:stride, k, k + 1]
         proj_g = self.fmap.action_projection(grid)
         self._grid = grid, np.cos(proj_g), np.sin(proj_g)
+        self._sweep_grid = tuple(part[sweep] for part in self._grid)
+        self._newton = [NewtonMatrix(*self._sweep_grid[1:], c.gamma, c.beta)
+                        for _ in "qu"]
 
     def _state_cos_sin(self, obs):
         """cos and sin (1 x M/2 each) of ``obs``'s state projection.
@@ -337,10 +406,10 @@ class EmuQ:
 
     # -- acting ----------------------------------------------------------
 
-    def _choose(self, obs, kappa: float, actions, ca, sa):
-        """(action, its (Q, U) means) maximizing Q + kappa U over the
-        candidate ``actions``, whose action projections have cos ``ca``
-        and sin ``sa`` (K x M/2); ties go to the first candidate.
+    def _choose(self, obs, kappa: float, ca, sa):
+        """(index, (Q, U) means) of the candidate maximizing Q + kappa U
+        among those whose action projections have cos ``ca`` and sin
+        ``sa`` (K x M/2); ties go to the first candidate.
 
         By the angle-sum identities both heads' values at every candidate
         come from obs's one (cached) state projection (cs, ss) in two
@@ -355,7 +424,7 @@ class EmuQ:
             / np.sqrt(h)                              # (K, 2)
         balanced = means[:, 0] + kappa * means[:, 1]
         idx = int(np.argmax(balanced))                # ties: first candidate
-        return actions[idx], means[idx]
+        return idx, means[idx]
 
     def act(self, obs, kappa: float, rng):
         """The action maximizing Q + kappa U at ``obs`` over a candidate
@@ -365,8 +434,8 @@ class EmuQ:
         this runs at an episode's first step and in evaluation."""
         actions = self._actions(self.config.n_action_candidates, rng)
         proj_a = self.fmap.action_projection(actions)
-        return self._choose(obs, kappa, actions, np.cos(proj_a),
-                            np.sin(proj_a))[0]
+        idx, _ = self._choose(obs, kappa, np.cos(proj_a), np.sin(proj_a))
+        return actions[idx]
 
     # -- exploration reward ----------------------------------------------
 
@@ -428,21 +497,29 @@ class EmuQ:
         candidate grid, whose values gave the bootstrap, for the runner to
         play next; None when the transition absorbs.  The stored row
         phi(s, a) comes from s's (cached) state projection and a's action
-        projection by the angle-sum identities.
+        projection by the angle-sum identities; when a is the grid row
+        returned one step earlier, its cached cos/sin are that
+        projection's (the same bits), else a is projected here.
         """
         c = self.config
         self._r_abs_max = max(self._r_abs_max, abs(float(tr.reward)))
-        proj_a = self.fmap.action_projection([tr.action])
-        phi = angle_sum_rows(*self._state_cos_sin(tr.state),
-                             np.cos(proj_a), np.sin(proj_a))[0]
+        if self._chosen is not None and tr.action is self._chosen[0]:
+            row = self._chosen[1]
+            ca, sa = (half[row:row + 1] for half in self._grid[1:])
+        else:
+            proj_a = self.fmap.action_projection([tr.action])
+            ca, sa = np.cos(proj_a), np.sin(proj_a)
+        phi = angle_sum_rows(*self._state_cos_sin(tr.state), ca, sa)[0]
         phi *= 1.0 / np.sqrt(self.fmap.n_spectral)
         r_e = self.exploration_reward(tr.next_state, rng)
-        a_next = None
+        a_next = self._chosen = None
         if tr.absorbing:
             boot_q = boot_u = 0.0
         else:
-            a_next, (boot_q, boot_u) = self._choose(tr.next_state, kappa,
-                                                    *self._grid)
+            row, (boot_q, boot_u) = self._choose(tr.next_state, kappa,
+                                                 *self._grid[1:])
+            a_next = self._grid[0][row]
+            self._chosen = a_next, row
             (q_lo, q_hi), (u_lo, u_hi) = self._boot_bounds()
             boot_q = float(min(max(boot_q, q_lo), q_hi))
             boot_u = float(min(max(boot_u, u_lo), u_hi))
@@ -463,16 +540,15 @@ class EmuQ:
         return a_next
 
     def end_episode(self, kappa: float, rng) -> None:
-        """Re-solve both heads over the store, with candidate actions
-        drawn here from ``rng``, then check the covariance.
+        """Re-solve both heads over the store, then check the covariance.
+        ``rng`` is unused: the re-solve's candidates are fixed per agent.
 
         The largest eigenvalue of S over beta is the largest predictive
         variance of any unit-norm feature, so it must not exceed V_max;
         the smallest eigenvalue must stay positive, and S finite.
         """
         if self._n:
-            self._sweep(kappa,
-                        self._actions(self.config.n_sweep_candidates, rng))
+            self._sweep(kappa)
         eig = np.linalg.eigvalsh(self.model.S)
         var_max = float(eig[-1]) / self.config.beta
         self.var_max_seen = max(self.var_max_seen, var_max)
@@ -484,9 +560,9 @@ class EmuQ:
 
     # -- episode sweep ---------------------------------------------------
 
-    def _sweep(self, kappa: float, actions) -> None:
-        """Re-solve both weight means over the full store, with policy
-        candidates ``actions``.
+    def _sweep(self, kappa: float) -> None:
+        """Re-solve both weight means over the full store, with the fixed
+        policy candidates ``_sweep_grid``.
 
         Exploration rewards are recomputed under the current S first.
         Then one loop solves Q and then U, each for the fixed point of
@@ -497,43 +573,48 @@ class EmuQ:
         range.  All (stored state, candidate) values come from two matrix
         products per iteration (``pair_value_matrix``).
 
-        Up to NEWTON_STEPS Newton steps (``NewtonMatrix.solve``) come
-        first; once the argmax and clip pattern repeats, T(m) = m to
-        rounding.  The pattern can cycle, so if they run out the loop
-        goes on with plain steps m <- T(m) from the lowest-residual point
-        seen, and takes one Newton step in place of a plain step whose
-        pattern equals the step before's (unless that system is
-        singular).  A head converges once no weight moves by more than
-        SWEEP_TOL; a plain step then installs the point whose move was
-        measured, not one step past it, where the map need not contract.
+        Up to NEWTON_STEPS Newton steps (``NewtonMatrix.solve``, through
+        the head's carried A) come first; once the argmax and clip
+        pattern repeats, T(m) = m to rounding.  The pattern can cycle, so
+        if they run out the loop goes on with plain steps m <- T(m) from
+        the lowest-residual point seen, and takes one Newton step in
+        place of a plain step whose pattern equals the step before's
+        (unless that system is singular).  A head converges once no
+        weight moves by more than SWEEP_TOL; a plain step then installs
+        the point whose move was measured, not one step past it, where
+        the map need not contract.
         The plain phase stays because stopping at the Newton cap instead
         left most heads of the 40-state chain unconverged and slowed its
         learning (figures in CHANGES.md).  A head whose values leave the
         finite range keeps its incremental per-step fit.  The loop writes
         the re-solve's ``sweep_history`` entry: the store size, and per
-        head its iterations, convergence and NewtonMatrix traffic.
+        head its iterations, convergence and NewtonMatrix traffic.  The
+        next states' cos/sin are the re-solve's only N x M scratch, as
+        its other products over the store run in row blocks.
         """
         c = self.config
         self.model.symmetrize()
         S = self.model.S
-        store = self.state_arrays()
-        Phi, absorbing = store["phi_rows"], store["absorbing"]
-        rows = np.arange(len(absorbing))
+        n = self._n
+        Phi, absorbing = (self._store[name][:n]
+                          for name in ("phi_rows", "absorbing"))
+        rows = np.arange(n)
         scale = 1.0 / np.sqrt(self.fmap.n_spectral)
-        proj_s = self.fmap.state_projection(store["next_obs"])
-        Cs, Ss = np.cos(proj_s), np.sin(proj_s)
-        proj_a = self.fmap.action_projection(actions)
-        Ca, Sa = np.cos(proj_a), np.sin(proj_a)
+        Ss = self.fmap.state_projection(self._store["next_obs"][:n])
+        Cs = np.cos(Ss)
+        np.sin(Ss, out=Ss)
+        _, Ca, Sa = self._sweep_grid
         r_e = self._recompute_exploration_rewards(Cs, Ss)
 
         m_heads, t_heads = [self.model.m[:, 0], self.model.m[:, 1]], []
-        history = {"n": len(rows)}
-        heads = zip((store["rewards"], r_e), ((1.0, kappa), (kappa, 1.0)),
-                    self._boot_bounds())
+        history = {"n": n}
+        heads = zip((self._store["rewards"][:n], r_e),
+                    ((1.0, kappa), (kappa, 1.0)), self._boot_bounds())
         for i, (targets, (w_self, w_other), (lo, hi)) in enumerate(heads):
             values_other = pair_value_matrix(Cs, Ss, Ca, Sa, m_heads[1 - i],
                                              scale)
-            newton = NewtonMatrix(S, Phi, Cs, Ss, Ca, Sa, c.gamma, c.beta)
+            newton = self._newton[i]
+            newton.start(S, Phi, Cs, Ss)
             m, t_m = m_heads[i], None     # t_m: targets of m, once m = S t_m
             newton_phase = True
             best_delta, best_next = np.inf, None
@@ -574,6 +655,7 @@ class EmuQ:
                         m, t_m = best_next
                     else:
                         m, t_m = m_new, t
+            newton.finish()
             m_heads[i] = m_new
             t_heads.append(t)
             head = "qu"[i]
@@ -591,7 +673,8 @@ class EmuQ:
         the per-step rewards average over: with the cos/sin blocks of its
         second-moment matrix, rebuilt from the cached principal
         directions, the action average of phi^T C phi collapses into one
-        quadratic form per state (brute-force-checked in the test suite).
+        quadratic form per state (brute-force-checked in the test suite),
+        summed over the states in blocks of ROW_BLOCK rows.
         """
         c = self.config
         n_spectral = self.fmap.n_spectral
@@ -611,9 +694,12 @@ class EmuQ:
         e_vv = c_cc * g_ss - c_cs * g_sc - c_sc * g_cs + c_ss * g_cc
         blocks = np.block([[e_uu, e_uv], [e_vu, e_vv]])
 
-        F = np.concatenate([Cs, Ss], axis=1)
-        mean_centered = np.einsum("ij,ij->i", F @ blocks, F) / n_spectral
-        return np.clip(mean_centered / c.beta, -self.v_max, 0.0)
+        quad = np.empty(len(Cs))
+        for start in range(0, len(Cs), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            F = np.concatenate([Cs[rows], Ss[rows]], axis=1)
+            quad[rows] = np.einsum("ij,ij->i", F @ blocks, F)
+        return np.clip(quad / n_spectral / c.beta, -self.v_max, 0.0)
 
     # -- run statistics and checkpointing --------------------------------
 
@@ -646,13 +732,22 @@ class EmuQ:
         }
 
     def state_arrays(self) -> dict:
-        """Posterior, feature map and transition store for checkpointing;
-        the store arrays are the live rows the re-solve reads, not copies."""
+        """Posterior, feature map, transition store and each head's
+        carried re-solve matrix for checkpointing.  The store arrays are
+        the live rows the re-solve reads, not copies.  ``newton_a`` stacks
+        the (Q, U) heads' A = Phi^T Psi and ``newton_pattern`` their
+        patterns, one row per head over the whole store: the sweep
+        candidate behind each Psi row, -1 where that row is zero."""
         n = self._n
+        patterns = np.full((2, n), -1, dtype=np.intp)
+        for row, newton in zip(patterns, self._newton):
+            row[:len(newton.pattern)] = newton.pattern
         return {
             "S": self.model.S, "m": self.model.m, "t": self.model.t,
             "frequencies": self.fmap.rff.frequencies,
             **{name: rows[:n] for name, rows in self._store.items()},
+            "newton_a": np.stack([newton.a for newton in self._newton]),
+            "newton_pattern": patterns,
         }
 
     def load_state_arrays(self, arrays) -> None:
@@ -661,8 +756,10 @@ class EmuQ:
         have the shape and dtype kind that this agent's config and env
         spec give it; CheckpointError names the first that does not.
         The checked store arrays become the store as they are, the largest
-        reward magnitude is recomputed from the stored rewards, and
-        arrays other than state_arrays' own are ignored."""
+        reward magnitude is recomputed from the stored rewards, each
+        head's re-solve matrix and pattern are installed as saved (a
+        pattern entry must name a sweep candidate or be -1), and arrays
+        other than state_arrays' own are ignored."""
         spec = self.spec
         n_features = self.config.n_features
         n = np.size(arrays["rewards"])
@@ -671,14 +768,27 @@ class EmuQ:
                   "frequencies": (spec.state_dim + spec.action_dim,
                                   n_features // 2),
                   "phi_rows": (n, n_features), "rewards": (n,),
-                  "next_obs": (n, spec.state_dim), "absorbing": (n,)}
+                  "next_obs": (n, spec.state_dim), "absorbing": (n,),
+                  "newton_a": (2, n_features, n_features),
+                  "newton_pattern": (2, n)}
+        kinds = {"absorbing": "b", "newton_pattern": "i"}
         saved = {name: checked_array(arrays, name, shape,
-                                     "b" if name == "absorbing" else "f")
+                                     kinds.get(name, "f"))
                  for name, shape in shapes.items()}
         freqs = saved["frequencies"]
         freqs.setflags(write=False)
         self.fmap = JointRffMap.for_spec(spec, RffMap(freqs))
         self._build_expectation_set()
+        patterns = saved["newton_pattern"]
+        n_sweep = len(self._sweep_grid[0])
+        if patterns.size and not (-1 <= patterns.min()
+                                  and patterns.max() < n_sweep):
+            raise CheckpointError(
+                f"array 'newton_pattern' holds {patterns.min()} to "
+                f"{patterns.max()}; this agent needs -1 to {n_sweep - 1}")
+        for newton, a, pattern in zip(self._newton, saved["newton_a"],
+                                      patterns):
+            newton.a, newton.pattern = a, pattern
         self.model.S = saved["S"]
         self.model.t = saved["t"]
         self.model.m = saved["m"]

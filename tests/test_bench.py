@@ -1,6 +1,7 @@
 """Experiment orchestration tests: config validation, deterministic runs,
 CSV round trips, aggregation arithmetic, checkpoints, and the CLI."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -383,7 +384,9 @@ def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
 
     if hasattr(os, "sched_getaffinity"):
         assert bench.usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    # run_experiment imports the pool class only when it uses one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
     monkeypatch.setattr(bench, "usable_cpus", lambda: 64)
     config = tiny_config(n_seeds=2)
     results = run_experiment(config, out_dir=tmp_path / "two", workers=16,
@@ -693,7 +696,7 @@ def test_checkpoint_stores_its_runs_config(tmp_path):
     path = tmp_path / "ck.npz"
     save_checkpoint(agent, path, config)
     with np.load(path) as data:
-        assert data["version"].item() == CHECKPOINT_VERSION == 3
+        assert data["version"].item() == CHECKPOINT_VERSION == 4
         assert json.loads(str(data["config"])) == config.to_dict()
         assert set(data.files) == {"version", "config",
                                    *agent.state_arrays()}
@@ -738,8 +741,15 @@ def with_params(section, params):
      "array 'frequencies' is float64 of shape (3, 4)"),
     ("config", with_params("agent", {"n_features": 16, "alpha": -1}),
      "bad emuq agent params: alpha"),
+    ("newton_a", lambda v: v[:1], "array 'newton_a' is float64 of shape "
+     "(1, 16, 16)"),
+    ("newton_pattern", lambda v: v.astype(float),
+     "array 'newton_pattern' is float64"),
+    ("newton_pattern", lambda v: np.where(v == 1, 2, v),
+     "array 'newton_pattern' holds -1 to 2; this agent needs -1 to 1"),
 ], ids=["index_chain", "n_features_15", "n_features_14", "S_8x8", "m_8_rows",
-        "frequencies_4_columns", "negative_alpha"])
+        "frequencies_4_columns", "negative_alpha", "newton_a_one_head",
+        "newton_pattern_float", "newton_pattern_past_the_candidates"])
 def test_emuq_checkpoint_corrupt_and_incompatible(tmp_path, capsys,
                                                   emuq_chain_checkpoint,
                                                   key, edit, message):
@@ -782,12 +792,12 @@ def test_emuq_checkpoint_ignores_arrays_it_does_not_save(
         tmp_path, capsys, emuq_chain_checkpoint, extra):
     # Older files also held the store length, the largest reward
     # magnitude and the feature map's lengthscales, scheme and seed; all
-    # follow from the eight arrays saved now, so none is read, whatever
+    # follow from the ten arrays saved now, so none is read, whatever
     # it holds.
     arrays = emuq_chain_checkpoint
     assert set(arrays) == {
         "version", "config", "S", "m", "t", "frequencies", "phi_rows",
-        "rewards", "next_obs", "absorbing"}
+        "rewards", "next_obs", "absorbing", "newton_a", "newton_pattern"}
     good = tmp_path / "good.npz"
     np.savez(good, **arrays)
     padded = tmp_path / "padded.npz"
@@ -825,7 +835,28 @@ def test_checkpoint_version_2_rejected(tmp_path, capsys):
              env_params=np.asarray(json.dumps(config.env_params)),
              agent_params=np.asarray(json.dumps(config.agent_params)),
              **agent.state_arrays())
-    message = "checkpoint version 2 unsupported (expected 3)"
+    message = "checkpoint version 2 unsupported (expected 4)"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load_checkpoint(old)
+    assert main(["eval", "--checkpoint", str(old),
+                 "--episodes", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_checkpoint_version_3_rejected(tmp_path, capsys):
+    # version-3 EmuQ files held no re-solve matrices, so a resumed agent
+    # would rebuild them and round differently from one never stopped
+    config = tiny_config(
+        env={"name": "chain", "params": {"n_states": 5, "vector_obs": True}},
+        agent={"kind": "emuq", "params": {"n_features": 16}},
+        n_episodes=2)
+    _, agent = run_single(config, 0)
+    arrays = {name: array for name, array in agent.state_arrays().items()
+              if not name.startswith("newton_")}
+    old = tmp_path / "v3.npz"
+    np.savez(old, version=np.asarray(3),
+             config=np.asarray(json.dumps(config.to_dict())), **arrays)
+    message = "checkpoint version 3 unsupported (expected 4)"
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(old)
     assert main(["eval", "--checkpoint", str(old),
@@ -875,12 +906,14 @@ def test_checkpoint_tables_of_the_wrong_dtype_kind_rejected(tmp_path, bad,
         load_checkpoint(path)
 
 
-def test_checkpoint_resumes_emuq_training(tmp_path):
-    # N episodes, save, load, one more episode must equal N + 1 episodes
-    # without the interruption: the re-solve needs the whole store.
+def assert_checkpoint_resumes_emuq_training(tmp_path, config_name,
+                                            n_episodes):
+    """N episodes, save, load, one more episode must equal N + 1 episodes
+    without the interruption: the re-solve needs the whole store and
+    each head's carried matrix."""
     config = dataclasses.replace(
-        load_config(CONFIG_DIR / "chain_emuq_scaling_n10.json"),
-        n_episodes=10)
+        load_config(CONFIG_DIR / f"{config_name}.json"),
+        n_episodes=n_episodes)
     env_rng, agent_rng, _ = seed_streams(config.base_seed, 0)
     env = make_env(config.env_name, **config.env_params)
     agent = make_agent(config, env, agent_rng)
@@ -905,6 +938,17 @@ def test_checkpoint_resumes_emuq_training(tmp_path):
     for name in ("phi_rows", "rewards", "next_obs", "absorbing"):
         assert resumed[name].dtype == straight[name].dtype, name
         npt.assert_array_equal(resumed[name], straight[name])
+    for name in ("newton_a", "newton_pattern"):
+        npt.assert_array_equal(resumed[name], straight[name], err_msg=name)
+
+
+def test_checkpoint_resumes_emuq_training(tmp_path):
+    assert_checkpoint_resumes_emuq_training(tmp_path,
+                                            "chain_emuq_scaling_n10", 10)
+
+
+def test_checkpoint_resumes_continuous_emuq_training(tmp_path):
+    assert_checkpoint_resumes_emuq_training(tmp_path, "mountaincar_emuq", 3)
 
 
 def test_checkpoint_empty_emuq_store_roundtrip(tmp_path):
@@ -948,6 +992,19 @@ def test_package_root_imports_no_submodule():
         print(exval.__version__)
     """
     assert python_in_src(code) == ["[]", "[]", "0.1.0"]
+
+
+def test_bench_import_loads_no_process_pool():
+    # the process pool, and the multiprocessing it loads, are imported
+    # only by runs with more than one worker
+    code = """
+        import sys
+        import exval.bench
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] in ("concurrent",
+                                               "multiprocessing")))
+    """
+    assert python_in_src(code) == ["[]"]
 
 
 @pytest.mark.parametrize("case", ["emuq_build", "mountaincar_run",

@@ -443,6 +443,53 @@ def test_pendulum_reset_range():
         assert -1.0 <= theta_dot <= 1.0
 
 
+def np_clip_mc_step(env, state, a):
+    """MountainCarEnv's next state by its formula with np.clip."""
+    x, v = state
+    v = np.clip(v + env.POWER * a - env.GRAVITY * np.cos(3 * x),
+                -env.V_MAX, env.V_MAX)
+    x = np.clip(x + v, env.X_MIN, env.X_MAX)
+    return np.array([x, v])
+
+
+def np_clip_pend_step(env, state, a):
+    """PendulumEnv's next state by its formula with np.clip."""
+    theta, theta_dot = state
+    acc = (3 * env.G / (2 * env.LENGTH)) * np.sin(theta) \
+        + 3 * a / (env.MASS * env.LENGTH ** 2)
+    theta_dot = np.clip(theta_dot + acc * env.DT,
+                        -env.MAX_SPEED, env.MAX_SPEED)
+    theta = theta + theta_dot * env.DT
+    theta = (theta + np.pi) % (2 * np.pi) - np.pi
+    return np.array([theta, theta_dot])
+
+
+@pytest.mark.parametrize("env, formula, corners", [
+    (MountainCarEnv(), np_clip_mc_step, ([-1.2, 1.0], [-0.07, 0.07])),
+    (PendulumEnv(), np_clip_pend_step, ([-np.pi, np.pi], [-8.0, 8.0])),
+], ids=["mountaincar", "pendulum"])
+def test_control_steps_clip_to_the_np_clip_bits(env, formula, corners):
+    # Steps clip their 0-d values with min/max; the next state must hold
+    # the bits of the np.clip formula, at the bounds and inside them.
+    rng = np.random.default_rng(11)
+    (lo0, hi0), (lo1, hi1) = corners
+    states = [[s0, s1] for s0 in (lo0, lo0 + 1e-3, 0.0, hi0 - 1e-3, hi0)
+              for s1 in (lo1, lo1 * 0.99, 0.0, hi1 * 0.99, hi1)]
+    states += rng.uniform([lo0, lo1], [hi0, hi1], size=(200, 2)).tolist()
+    high = float(env.spec.action_high[0])
+    clipped = set()
+    for state in map(np.array, states):
+        for a in (-high, -0.3 * high, 0.0, 0.7 * high, high):
+            got = env.step(state, np.array([a]), rng).next_state
+            want = formula(env, state, a)
+            assert got.tobytes() == want.tobytes(), (state, a)
+            clipped.update(i for i, bound in enumerate(
+                (lo0, hi0, lo1, hi1)) if bound in want)
+    # both speed bounds saturate, and mountain car's position bounds too
+    assert {2, 3} <= clipped and (formula is np_clip_pend_step
+                                  or {0, 1} <= clipped)
+
+
 def test_goal_only_reward_support():
     # Random rollouts: every reward must come from the tiny documented set.
     rng = np.random.default_rng(11)
