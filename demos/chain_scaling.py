@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from exval.bench import build_run, load_config
+from exval.bench import build_run, load_config, pin_blas_threads
 from exval.core import run_episode, seed_streams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -41,6 +41,7 @@ def steps_to_goal(config, seed):
 
 
 def main():
+    pin_blas_threads()     # EmuQ's results depend on the thread count
     print("steps to first goal, variance-driven agent")
     print(f"{'chain length':>14} {'per seed':>32} {'mean':>8}")
     for n in (10, 20, 40):

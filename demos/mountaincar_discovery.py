@@ -19,7 +19,7 @@ Takes a minute or two.
 
 from pathlib import Path
 
-from exval.bench import build_run, load_config
+from exval.bench import build_run, load_config, pin_blas_threads
 from exval.core import run_episode, seed_streams
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -51,6 +51,7 @@ def show(label, name):
 
 
 def main():
+    pin_blas_threads()     # EmuQ's results depend on the thread count
     show("uncertainty-driven", "mountaincar_emuq")
     show("ablation, exploitation only", "mountaincar_emuq_kappa0")
     print("Every reward before the first flag touch is zero, so the")

@@ -12,9 +12,13 @@ environment; ``observe`` converts them to what agents see (min-max
 normalized vectors for continuous domains, plain integer indices for
 tabular ones).  A tabular environment whose steps draw nothing and
 whose ``observe`` is the identity also hands out its lookup tables
-through ``transition_tables`` (the others return None), so that greedy
-evaluation can walk them, indexing the policy by raw state, instead of
-stepping.
+through ``transition_tables`` (the others return None), and as
+per-state rows through ``transition_rows``.  Greedy evaluation, and the
+learning and frozen episodes of agents whose ``act`` draws nothing
+(``greedy_hooks``), walk these tables by raw state instead of stepping:
+greedy tabular agents on taxi walk, while EpsilonGreedyAgent, which
+draws when it acts, and every agent on cliff, chain, mountain car and
+pendulum step.
 
 Agents speak one protocol: ``act`` picks an action, ``observe`` learns
 from a Transition and may return the action it has committed to for
@@ -22,7 +26,9 @@ the transition's next state (the runner then plays that action instead
 of asking ``act`` again), and ``end_episode`` closes a learning
 episode.  ``state_arrays`` gives what a checkpoint saves and
 ``load_state_arrays`` restores it; every agent raises CheckpointError
-for an array whose shape or dtype kind is not its own.
+for an array whose shape or dtype kind is not its own.  Only on an env
+with tables are agents also asked for ``greedy_policy`` and
+``greedy_hooks``, which tabular agents answer.
 
 Each run derives three independent random streams (environment, agent,
 evaluation) from a (base_seed, run_seed) pair, so agent stochasticity
@@ -165,27 +171,56 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
     as usual.  Otherwise the agent is asked to act at every step, no
     Transition is built, and its internal state must come out bitwise
     untouched.
+
+    When the env's ``transition_tables()`` and the agent's
+    ``greedy_hooks()`` both give something (greedy tabular agents on
+    taxi), the episode walks the env's ``transition_rows()`` instead,
+    with no ``act``, ``observe`` or ``env.step`` call: each step plays
+    ``choose``'s action and, when learning, applies ``learn``.  These
+    hooks are what ``act`` and ``observe`` run, and rewards are summed
+    in step order, so logs, tables and both streams match the step path
+    bit for bit.  Every other pairing steps: the env has no tables, or
+    the agent's ``act`` draws (EpsilonGreedyAgent).
     """
     log = EpisodeLog()
     raw = env.reset(env_rng)
-    obs = env.observe(raw)
-    pending = None
-    for _ in range(env.spec.max_episode_steps):
-        action = (agent.act(obs, kappa, agent_rng) if pending is None
-                  else pending)
-        outcome = env.step(raw, action, env_rng)
-        raw = outcome.next_state
-        obs_next = env.observe(raw)
-        if learn:
-            pending = agent.observe(Transition(obs, action, outcome.reward,
-                                               obs_next, outcome.goal),
-                                    kappa, agent_rng)
-        log.return_undiscounted += outcome.reward
-        log.steps += 1
-        if outcome.goal:
-            log.reached_goal = True
-            break
-        obs = obs_next
+    hooks = (None if env.transition_tables() is None
+             else agent.greedy_hooks())
+    if hooks is None:
+        obs = env.observe(raw)
+        pending = None
+        for _ in range(env.spec.max_episode_steps):
+            action = (agent.act(obs, kappa, agent_rng) if pending is None
+                      else pending)
+            outcome = env.step(raw, action, env_rng)
+            raw = outcome.next_state
+            obs_next = env.observe(raw)
+            if learn:
+                pending = agent.observe(Transition(obs, action,
+                                                   outcome.reward, obs_next,
+                                                   outcome.goal),
+                                        kappa, agent_rng)
+            log.return_undiscounted += outcome.reward
+            log.steps += 1
+            if outcome.goal:
+                log.reached_goal = True
+                break
+            obs = obs_next
+    else:
+        choose, update = hooks
+        rows = env.transition_rows()
+        total = 0.0
+        for steps in range(1, env.spec.max_episode_steps + 1):
+            action = choose(raw, kappa)
+            raw_next, reward, goal = rows[raw][action]
+            if learn:
+                update(raw, action, reward, raw_next, goal)
+            total += reward
+            if goal:
+                log.reached_goal = True
+                break
+            raw = raw_next
+        log.return_undiscounted, log.steps = total, steps
     if learn:
         agent.end_episode(kappa, agent_rng)
     return log

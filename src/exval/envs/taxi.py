@@ -12,7 +12,9 @@ destination), with passenger location 4 meaning "in the taxi".  All
 transitions are deterministic, so they are precomputed into read-only
 lookup tables once per process and shared by every instance; ``step``
 reads them through 2-D memoryviews, which hand out plain Python ints,
-floats and bools.
+floats and bools.  The same tables also come as nested tuples of those
+Python scalars, built once per process too, for the episode runner's
+table walk.
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ def _tables():
     return next_state, reward, terminal
 
 
+@cache
+def _rows():
+    """``_tables()`` as per-state tuples of per-action (next_state,
+    reward, terminal) tuples of Python scalars, built on first use."""
+    return tuple(tuple(zip(*row)) for row in
+                 zip(*(table.tolist() for table in _tables())))
+
+
 class TaxiEnv:
     def __init__(self, max_episode_steps: int = 500):
         self.spec = EnvSpec(
@@ -130,9 +140,18 @@ class TaxiEnv:
         Steps draw nothing, so these tables are the whole dynamics, and
         ``observe`` is the identity, so a policy indexed by observation
         is indexed by raw state too.  An env may return tables only when
-        both hold.
+        both hold.  With them, greedy evaluation and the learning and
+        frozen episodes of greedy tabular agents walk the tables instead
+        of calling ``step`` (see ``core.run_episode``); an agent whose
+        ``act`` draws (EpsilonGreedyAgent) still steps.
         """
         return self.next_state, self.reward, self.terminal
+
+    def transition_rows(self):
+        """The same tables as ``rows[state][action] == (next_state,
+        reward, goal)`` in Python scalars, shared by every instance.  An
+        env that returns transition tables also gives these rows."""
+        return _rows()
 
     def step(self, state: int, action, rng) -> StepOutcome:
         a = int(action)

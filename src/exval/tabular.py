@@ -24,6 +24,12 @@ flat memoryview per table, rebuilt whenever a table is assigned: a row
 is the slice ``view[s * A:(s + 1) * A]`` and a cell is ``view[s * A +
 a]``, so each step works on Python floats and ints rather than numpy
 scalars, with the same operations in the same order.
+
+The two greedy agents keep their choice and their update in
+``_greedy`` and ``_learn``.  ``act`` and ``observe`` call them, and
+``greedy_hooks`` hands them to ``core.run_episode``, which on taxi
+walks the tables through them instead of stepping.  EpsilonGreedyAgent,
+whose ``act`` draws, has no hooks and steps on every env.
 """
 
 from __future__ import annotations
@@ -102,6 +108,15 @@ class TabularAgent:
         int array, or None when ``act`` draws from its rng."""
         return None
 
+    def greedy_hooks(self):
+        """``(choose, learn)``, or None when ``act`` draws from its rng.
+
+        ``choose(s, kappa)`` is the action ``act`` picks in state s, and
+        ``learn(s, a, reward, s_next, absorbing)`` is what ``observe``
+        does with that transition; ``observe`` commits to no action.
+        """
+        return None
+
     def end_episode(self, kappa: float, rng) -> None:
         pass
 
@@ -160,14 +175,23 @@ class AdditiveBonusAgent(TabularAgent):
         self.xi = real_number("xi", xi)
 
     def act(self, obs: int, kappa: float, rng) -> int:
-        n = self.n_actions
-        return greedy_action(self._q_view[obs * n:(obs + 1) * n])
+        return self._greedy(obs, kappa)
 
     def greedy_policy(self) -> np.ndarray:
         return self.q.argmax(axis=1)
 
+    def greedy_hooks(self):
+        return self._greedy, self._learn
+
     def observe(self, tr: Transition, kappa: float, rng) -> None:
-        s, a, reward, s_next, absorbing = tr
+        self._learn(*tr)
+
+    def _greedy(self, s: int, kappa: float) -> int:
+        n = self.n_actions
+        return greedy_action(self._q_view[s * n:(s + 1) * n])
+
+    def _learn(self, s: int, a: int, reward: float, s_next: int,
+               absorbing: bool) -> None:
         n = self.n_actions
         counts = self._counts_view
         cell = s * n + a
@@ -184,16 +208,25 @@ class ExplorationValuesAgent(TabularAgent):
     counts = _Table(np.int64)
 
     def act(self, obs: int, kappa: float, rng) -> int:
-        n = self.n_actions
-        lo, hi = obs * n, (obs + 1) * n
-        return greedy_action([q + kappa * u for q, u in
-                              zip(self._q_view[lo:hi], self._u_view[lo:hi])])
+        return self._greedy(obs, kappa)
 
     def greedy_policy(self) -> np.ndarray:
         return (self.q + 0.0 * self.u).argmax(axis=1)     # act at kappa = 0
 
+    def greedy_hooks(self):
+        return self._greedy, self._learn
+
     def observe(self, tr: Transition, kappa: float, rng) -> None:
-        s, a, reward, s_next, absorbing = tr
+        self._learn(*tr)
+
+    def _greedy(self, s: int, kappa: float) -> int:
+        n = self.n_actions
+        lo, hi = s * n, (s + 1) * n
+        return greedy_action([q + kappa * u for q, u in
+                              zip(self._q_view[lo:hi], self._u_view[lo:hi])])
+
+    def _learn(self, s: int, a: int, reward: float, s_next: int,
+               absorbing: bool) -> None:
         n = self.n_actions
         counts = self._counts_view
         cell = s * n + a

@@ -234,9 +234,25 @@ def tabular_agent(agent_class, env, tables, seed=0):
     return agent
 
 
+class SteppedEnv:
+    """``env`` with its transition tables hidden, so run_episode steps
+    through it instead of walking its tables: the step-loop reference
+    for the walks."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def transition_tables(self):
+        return None
+
+
 def reference_eval(env, agent, n_episodes, eval_rng):
-    """eval_pure_exploit as one run_episode per evaluation episode; also
-    gives each episode's step count."""
+    """eval_pure_exploit as one stepped run_episode per evaluation
+    episode; also gives each episode's step count."""
+    env = SteppedEnv(env)
     logs = [run_episode(env, agent, eval_rng, eval_rng, kappa=0.0,
                         learn=False) for _ in range(n_episodes)]
     return (np.array([log.return_undiscounted for log in logs]),
@@ -288,15 +304,90 @@ def test_eval_walk_matches_step_loop_bit_for_bit(agent_class, tables,
         assert np.count_nonzero(steps == env.spec.max_episode_steps) > 15
 
 
+@pytest.fixture
+def protocol_calls(monkeypatch):
+    """Counts of the env.step, act and observe calls of every tabular
+    env and agent class."""
+    calls = {"step": 0, "act": 0, "observe": 0}
+
+    def counting(name, original):
+        def method(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return method
+
+    for owner, name in [(TaxiEnv, "step"), (CliffEnv, "step"),
+                        *((agent_class, name) for agent_class in
+                          (AdditiveBonusAgent, EpsilonGreedyAgent,
+                           ExplorationValuesAgent)
+                          for name in ("act", "observe"))]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner,
+                                                                name)))
+    return calls
+
+
+def table_bytes(agent):
+    return {name: table.tobytes()
+            for name, table in agent.state_arrays().items()}
+
+
+@pytest.mark.parametrize("learn", [True, False])
+@pytest.mark.parametrize("kappa", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("agent_class,tables", GREEDY_CASES)
+def test_episode_walk_matches_step_loop_bit_for_bit(agent_class, tables,
+                                                    kappa, learn,
+                                                    protocol_calls):
+    env = TaxiEnv()
+    sides = {}
+    for side, episode_env in (("step", SteppedEnv(env)), ("walk", env)):
+        agent = tabular_agent(agent_class, env, tables)
+        env_rng, agent_rng = (np.random.default_rng(11),
+                              np.random.default_rng(12))
+        before = dict(protocol_calls)
+        logs = [run_episode(episode_env, agent, env_rng, agent_rng,
+                            kappa=kappa, learn=learn) for _ in range(20)]
+        calls = {name: protocol_calls[name] - before[name]
+                 for name in before}
+        sides[side] = (logs, table_bytes(agent), env_rng.bit_generator.state,
+                       agent_rng.bit_generator.state, calls)
+    step_logs, step_tables, step_env, step_agent, step_calls = sides["step"]
+    walk_logs, walk_tables, walk_env, walk_agent, walk_calls = sides["walk"]
+    assert walk_logs == step_logs
+    assert walk_tables == step_tables
+    assert walk_env == step_env and walk_agent == step_agent
+    steps = sum(log.steps for log in step_logs)
+    assert walk_calls == {"step": 0, "act": 0, "observe": 0}
+    assert step_calls == {"step": steps, "act": steps,
+                          "observe": steps if learn else 0}
+    if tables == "zeros":   # ties play south until learning breaks them
+        capped = [log.steps == env.spec.max_episode_steps
+                  for log in step_logs]
+        assert capped[0] and (learn or all(capped))
+    if not learn:
+        assert walk_tables == table_bytes(tabular_agent(agent_class, env,
+                                                        tables))
+
+
 @pytest.mark.parametrize("make_env,agent_class", [
     (TaxiEnv, EpsilonGreedyAgent),
     (lambda: CliffEnv(slip_prob=0.1), ExplorationValuesAgent),
+    (lambda: CliffEnv(slip_prob=0.1), AdditiveBonusAgent),
+    (lambda: CliffEnv(slip_prob=0.1), EpsilonGreedyAgent),
 ])
 def test_eval_steps_when_act_or_step_draws(make_env, agent_class,
-                                           run_episode_calls):
+                                           run_episode_calls,
+                                           protocol_calls):
     env = make_env()
     agent = tabular_agent(agent_class, env, "random")
     want, _ = reference_eval(env, agent, 5, np.random.default_rng(3))
     got = eval_pure_exploit(env, agent, 5, np.random.default_rng(3))
     assert len(run_episode_calls) == 5
     assert got.tobytes() == want.tobytes()
+    # learning episodes step too, through act, env.step and observe
+    rng = np.random.default_rng(4)
+    before = dict(protocol_calls)
+    steps = sum(run_episode(env, agent, rng, rng, kappa=0.4).steps
+                for _ in range(3))
+    assert {name: protocol_calls[name] - before[name]
+            for name in before} == {"step": steps, "act": steps,
+                                    "observe": steps}
