@@ -543,13 +543,17 @@ def load_checkpoint(path):
     passes a config file's checks, build_run builds the agent and its
     load_state_arrays checks and installs the saved arrays.  A member
     that cannot be read (a bad CRC, a cut or garbled array) is a
-    CheckpointError naming the file, like a file that cannot be opened."""
+    CheckpointError naming the file, like a file that cannot be opened
+    or one that is not a zip archive (a run CSV, an ``.npy``)."""
     try:
-        data = np.load(path, allow_pickle=False)
+        with open(path, "rb") as fh:
+            archive = fh.read(4) in (b"PK\x03\x04", b"PK\x05\x06")
+        # np.load would read any other file as an .npy array or a pickle
+        data = np.load(path, allow_pickle=False) if archive else None
     except Exception as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise CheckpointError(f"{path} is a single array, not a checkpoint")
+    if data is None:
+        raise CheckpointError(f"{path} is not a checkpoint (.npz) archive")
     with data:
         try:
             return _load_checkpoint_members(path, data)

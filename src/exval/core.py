@@ -11,14 +11,13 @@ assembles EpisodeLogs.  Raw states stay in physical units inside the
 environment; ``observe`` converts them to what agents see (min-max
 normalized vectors for continuous domains, plain integer indices for
 tabular ones).  A tabular environment whose steps draw nothing and
-whose ``observe`` is the identity also hands out its lookup tables
-through ``transition_tables`` (the others return None), and as
-per-state rows through ``transition_rows``.  Greedy evaluation, and the
-learning and frozen episodes of agents whose ``act`` draws nothing
-(``greedy_hooks``), walk these tables by raw state instead of stepping:
-greedy tabular agents on taxi walk, while EpsilonGreedyAgent, which
-draws when it acts, and every agent on cliff, chain, mountain car and
-pendulum step.
+whose ``observe`` is the identity also hands out its whole dynamics as
+per-state rows through ``transition_rows`` (the others return None).
+Greedy evaluation, and the learning and frozen episodes of agents whose
+``act`` draws nothing (``greedy_hooks``), walk these rows by raw state
+instead of stepping: greedy tabular agents on taxi walk, while
+EpsilonGreedyAgent, which draws when it acts, and every agent on cliff,
+chain, mountain car and pendulum step.
 
 Agents speak one protocol: ``act`` picks an action, ``observe`` learns
 from a Transition and may return the action it has committed to for
@@ -27,7 +26,7 @@ of asking ``act`` again), and ``end_episode`` closes a learning
 episode.  ``state_arrays`` gives what a checkpoint saves and
 ``load_state_arrays`` restores it; every agent raises CheckpointError
 for an array whose shape or dtype kind is not its own.  Only on an env
-with tables are agents also asked for ``greedy_policy`` and
+with rows are agents also asked for ``greedy_policy`` and
 ``greedy_hooks``, which tabular agents answer.
 
 Each run derives three independent random streams (environment, agent,
@@ -172,20 +171,20 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
     Transition is built, and its internal state must come out bitwise
     untouched.
 
-    When the env's ``transition_tables()`` and the agent's
+    When the env's ``transition_rows()`` and the agent's
     ``greedy_hooks()`` both give something (greedy tabular agents on
-    taxi), the episode walks the env's ``transition_rows()`` instead,
-    with no ``act``, ``observe`` or ``env.step`` call: each step plays
-    ``choose``'s action and, when learning, applies ``learn``.  These
-    hooks are what ``act`` and ``observe`` run, and rewards are summed
-    in step order, so logs, tables and both streams match the step path
-    bit for bit.  Every other pairing steps: the env has no tables, or
-    the agent's ``act`` draws (EpsilonGreedyAgent).
+    taxi), the episode walks those rows instead, with no ``act``,
+    ``observe`` or ``env.step`` call: each step plays ``choose``'s
+    action and, when learning, applies ``learn``.  These hooks are what
+    ``act`` and ``observe`` run, and rewards are summed in step order,
+    so logs, tables and both streams match the step path bit for bit.
+    Every other pairing steps: the env has no rows, or the agent's
+    ``act`` draws (EpsilonGreedyAgent).
     """
     log = EpisodeLog()
     raw = env.reset(env_rng)
-    hooks = (None if env.transition_tables() is None
-             else agent.greedy_hooks())
+    rows = env.transition_rows()
+    hooks = None if rows is None else agent.greedy_hooks()
     if hooks is None:
         obs = env.observe(raw)
         pending = None
@@ -208,7 +207,6 @@ def run_episode(env, agent, env_rng, agent_rng, *, kappa: float,
             obs = obs_next
     else:
         choose, update = hooks
-        rows = env.transition_rows()
         total = 0.0
         for steps in range(1, env.spec.max_episode_steps + 1):
             action = choose(raw, kappa)
@@ -233,19 +231,19 @@ def eval_pure_exploit(env, agent, n_episodes: int, eval_rng) -> np.ndarray:
     returns their undiscounted returns.  Draws only from the eval
     stream, so interleaving these does not disturb training streams.
 
-    When the env's ``transition_tables()`` and the agent's
-    ``greedy_policy()`` both give tables (greedy tabular agents on
-    taxi), each episode walks per-state lists built once per call:
-    ``env.reset`` draws the start and rewards are summed in step order,
-    so returns and eval-stream draws match the step path bit for bit.
-    Otherwise every step goes through ``run_episode``, because the env's
-    ``step`` draws (cliff slip, chain), its states are continuous, or
-    the agent's ``act`` draws.  EpsilonGreedyAgent keeps drawing its
+    When the env's ``transition_rows()`` and the agent's
+    ``greedy_policy()`` both give something (greedy tabular agents on
+    taxi), each episode walks the policy's row entries, picked once per
+    call: ``env.reset`` draws the start and rewards are summed in step
+    order, so returns and eval-stream draws match the step path bit for
+    bit.  Otherwise every step goes through ``run_episode``, because the
+    env's ``step`` draws (cliff slip, chain), its states are continuous,
+    or the agent's ``act`` draws.  EpsilonGreedyAgent keeps drawing its
     epsilon here, so its evaluation is not purely greedy; it takes the
     step path, as does EmuQ.
     """
-    tables = env.transition_tables()
-    policy = None if tables is None else agent.greedy_policy()
+    rows = env.transition_rows()
+    policy = None if rows is None else agent.greedy_policy()
     returns = np.empty(n_episodes)
     if policy is None:
         for i in range(n_episodes):
@@ -253,16 +251,14 @@ def eval_pure_exploit(env, agent, n_episodes: int, eval_rng) -> np.ndarray:
                               learn=False)
             returns[i] = log.return_undiscounted
         return returns
-    states = np.arange(len(policy))
-    next_state, reward, goal = (table[states, policy].tolist()
-                                for table in tables)
+    moves = [row[a] for row, a in zip(rows, policy.tolist())]
     for i in range(n_episodes):
         s = env.reset(eval_rng)
         total = 0.0
         for _ in range(env.spec.max_episode_steps):
-            total += reward[s]
-            if goal[s]:
+            s, reward, goal = moves[s]
+            total += reward
+            if goal:
                 break
-            s = next_state[s]
         returns[i] = total
     return returns

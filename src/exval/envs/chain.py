@@ -55,7 +55,7 @@ class ChainEnv:
             return np.array([state / (self.n - 1)])
         return state
 
-    def transition_tables(self):
+    def transition_rows(self):
         """None: a right move draws whether it slips back."""
         return None
 

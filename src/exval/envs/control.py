@@ -48,7 +48,7 @@ class MountainCarEnv:
         return np.array([(x - self.X_MIN) / (self.X_MAX - self.X_MIN),
                          (v + self.V_MAX) / (2 * self.V_MAX)])
 
-    def transition_tables(self):
+    def transition_rows(self):
         """None: continuous states have no lookup table."""
         return None
 
@@ -108,7 +108,7 @@ class PendulumEnv:
                          (np.sin(theta) + 1) / 2,
                          (theta_dot + self.MAX_SPEED) / (2 * self.MAX_SPEED)])
 
-    def transition_tables(self):
+    def transition_rows(self):
         """None: continuous states have no lookup table."""
         return None
 

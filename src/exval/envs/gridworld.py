@@ -46,7 +46,7 @@ class CliffEnv:
     def observe(self, state: int):
         return state
 
-    def transition_tables(self):
+    def transition_rows(self):
         """None: every step draws whether the move slips."""
         return None
 

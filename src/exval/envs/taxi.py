@@ -9,19 +9,15 @@ grid's interior walls are blocked.
 
 The 500 states encode (taxi row, taxi column, passenger location,
 destination), with passenger location 4 meaning "in the taxi".  All
-transitions are deterministic, so they are precomputed into read-only
-lookup tables once per process and shared by every instance; ``step``
-reads them through 2-D memoryviews, which hand out plain Python ints,
-floats and bools.  The same tables also come as nested tuples of those
-Python scalars, built once per process too, for the episode runner's
-table walk.
+transitions are deterministic, so they are precomputed once per process
+into per-state rows of (next_state, reward, goal) tuples of plain
+Python scalars, shared by every instance.  ``step`` reads them, and so
+do the episode and evaluation walks in ``core``.
 """
 
 from __future__ import annotations
 
 from functools import cache
-
-import numpy as np
 
 from ..core import EnvSpec, StepOutcome
 
@@ -54,19 +50,17 @@ def decode(state: int):
 
 
 @cache
-def _tables():
-    """The (next_state, reward, terminal) tables indexed [state, action],
-    built on first use and read-only."""
-    n = 500
-    next_state = np.empty((n, 6), dtype=np.int64)
-    reward = np.zeros((n, 6))
-    terminal = np.zeros((n, 6), dtype=bool)
-    for s in range(n):
+def _rows():
+    """``rows[state][action] == (next_state, reward, goal)`` in Python
+    scalars, built on first use."""
+    rows = []
+    for s in range(500):
         row, col, pass_loc, dest = decode(s)
+        actions = []
         for a in range(6):
             nr, nc, np_loc = row, col, pass_loc
             r = 0.0
-            term = False
+            goal = False
             if a == SOUTH:
                 nr = min(row + 1, 4)
             elif a == NORTH:
@@ -87,7 +81,7 @@ def _tables():
                 if pass_loc == IN_TAXI and (row, col) == SPECIAL_CELLS[dest]:
                     np_loc = dest
                     r = 1.0
-                    term = True
+                    goal = True
                 elif pass_loc == IN_TAXI and (row, col) in SPECIAL_CELLS:
                     # Legal set-down at the wrong special cell: the
                     # passenger leaves the taxi, penalty applies.
@@ -95,20 +89,9 @@ def _tables():
                     r = -0.1
                 else:
                     r = -0.1
-            next_state[s, a] = encode(nr, nc, np_loc, dest)
-            reward[s, a] = r
-            terminal[s, a] = term
-    for table in (next_state, reward, terminal):
-        table.setflags(write=False)
-    return next_state, reward, terminal
-
-
-@cache
-def _rows():
-    """``_tables()`` as per-state tuples of per-action (next_state,
-    reward, terminal) tuples of Python scalars, built on first use."""
-    return tuple(tuple(zip(*row)) for row in
-                 zip(*(table.tolist() for table in _tables())))
+            actions.append((encode(nr, nc, np_loc, dest), r, goal))
+        rows.append(tuple(actions))
+    return tuple(rows)
 
 
 class TaxiEnv:
@@ -119,8 +102,7 @@ class TaxiEnv:
             n_states=500,
             n_actions=6,
         )
-        self.next_state, self.reward, self.terminal = _tables()
-        self._views = tuple(map(memoryview, _tables()))
+        self._rows = _rows()
 
     def reset(self, rng) -> int:
         row = int(rng.integers(5))
@@ -134,30 +116,23 @@ class TaxiEnv:
     def observe(self, state: int):
         return state
 
-    def transition_tables(self):
-        """(next_state, reward, goal) arrays indexed [state, action].
+    def transition_rows(self):
+        """``rows[state][action] == (next_state, reward, goal)`` in Python
+        scalars, shared by every instance.
 
-        Steps draw nothing, so these tables are the whole dynamics, and
+        Steps draw nothing, so these rows are the whole dynamics, and
         ``observe`` is the identity, so a policy indexed by observation
-        is indexed by raw state too.  An env may return tables only when
+        is indexed by raw state too.  An env may return rows only when
         both hold.  With them, greedy evaluation and the learning and
-        frozen episodes of greedy tabular agents walk the tables instead
+        frozen episodes of greedy tabular agents walk the rows instead
         of calling ``step`` (see ``core.run_episode``); an agent whose
         ``act`` draws (EpsilonGreedyAgent) still steps.
         """
-        return self.next_state, self.reward, self.terminal
-
-    def transition_rows(self):
-        """The same tables as ``rows[state][action] == (next_state,
-        reward, goal)`` in Python scalars, shared by every instance.  An
-        env that returns transition tables also gives these rows."""
-        return _rows()
+        return self._rows
 
     def step(self, state: int, action, rng) -> StepOutcome:
         a = int(action)
         if not 0 <= a < 6:
-            # before the lookup: a memoryview wraps negative indices
+            # before the lookup: a tuple wraps negative indices
             raise ValueError(f"invalid taxi action {a}")
-        next_state, reward, goal = self._views
-        return StepOutcome(next_state[state, a], reward[state, a],
-                           goal[state, a])
+        return StepOutcome(*self._rows[state][a])

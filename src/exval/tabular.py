@@ -28,8 +28,9 @@ scalars, with the same operations in the same order.
 The two greedy agents keep their choice and their update in
 ``_greedy`` and ``_learn``.  ``act`` and ``observe`` call them, and
 ``greedy_hooks`` hands them to ``core.run_episode``, which on taxi
-walks the tables through them instead of stepping.  EpsilonGreedyAgent,
-whose ``act`` draws, has no hooks and steps on every env.
+walks the env's transition rows through them instead of stepping.
+EpsilonGreedyAgent, whose ``act`` draws, has no hooks and steps on
+every env.
 """
 
 from __future__ import annotations

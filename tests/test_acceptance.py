@@ -44,11 +44,18 @@ def emuq_stats(agent):
             "v_max": agent.v_max}
 
 
-def run_chain_emuq(n_states, seed, semi_sparse_p=None, n_episodes=40):
+def chain_emuq(n_states, seed, semi_sparse_p=None):
+    """(env, agent, env_rng, agent_rng) for one chain EmuQ run."""
     env = make_env("chain", n_states=n_states, vector_obs=True,
                    max_episode_steps=250, semi_sparse_p=semi_sparse_p)
     env_rng, agent_rng, _ = seed_streams(0, seed)
     agent = EmuQ(env.spec, EmuqConfig(**EMUQ_CHAIN), agent_rng)
+    return env, agent, env_rng, agent_rng
+
+
+def run_chain_emuq(n_states, seed, semi_sparse_p=None, n_episodes=40):
+    env, agent, env_rng, agent_rng = chain_emuq(n_states, seed,
+                                                semi_sparse_p)
     steps = 0
     for _ in range(n_episodes):
         log = run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
@@ -334,3 +341,20 @@ def test_a10_config_rerun_bit_identical(tmp_path):
         for f in names_a:
             assert (out_a / f).read_bytes() == (out_b / f).read_bytes(), \
                 (name, f)
+
+
+def test_a11_resolved_weights_drive_chain_behaviour():
+    # chain-40 at kappa 0.1 for all 40 episodes: every seed reaches the
+    # goal in its first episode, and from then on only the episode-end
+    # re-solve's weights lead the agent back (39 steps is the shortest
+    # path).  Over episodes 31-40, seeds 0-9 took 400-421 steps when
+    # this gate was set, and 629-1171 with the re-solve disabled.
+    t0 = perf_counter()
+    late_steps = []
+    for seed in range(10):
+        env, agent, env_rng, agent_rng = chain_emuq(40, seed)
+        logs = [run_episode(env, agent, env_rng, agent_rng, kappa=0.1)
+                for _ in range(40)]
+        late_steps.append(sum(log.steps for log in logs[30:]))
+    assert max(late_steps) <= 500, late_steps
+    assert perf_counter() - t0 < 40.0

@@ -632,6 +632,15 @@ def test_checkpoint_corrupt_and_incompatible(tmp_path):
     assert main(["eval", "--checkpoint", str(version_only),
                  "--episodes", "1"]) == 2
 
+    # a run CSV: np.load would try to unpickle it and advise allow_pickle
+    run_csv = tmp_path / "run_s000.csv"
+    run_csv.write_text(",".join(CSV_HEADER) + "\n0,0,0,12,-0.5,1,0,0\n")
+    message = re.escape(f"{run_csv} is not a checkpoint (.npz) archive")
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(run_csv)
+    assert main(["eval", "--checkpoint", str(run_csv),
+                 "--episodes", "1"]) == 2
+
     with np.load(good) as data:
         arrays = dict(data)
     cliff = {"name": "cliff", "params": {"bogus": 1}}

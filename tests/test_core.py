@@ -30,8 +30,8 @@ class LineEnv:
     def observe(self, raw):
         return raw
 
-    def transition_tables(self):
-        # no tables: evaluation steps through run_episode, so the tests
+    def transition_rows(self):
+        # no rows: evaluation steps through run_episode, so the tests
         # below see every ScriptAgent.act call
         return None
 
@@ -219,7 +219,8 @@ def test_eval_pure_exploit_frozen_and_greedy():
 
 def tabular_agent(agent_class, env, tables, seed=0):
     """A tabular agent whose tables are all zero, random, or solved: Q
-    from value iteration on the env's tables, U (if any) random."""
+    from value iteration on the env's transition rows, U (if any)
+    random."""
     agent = agent_class(env.spec.n_states, env.spec.n_actions)
     rng = np.random.default_rng(seed)
     if tables != "zeros":
@@ -227,7 +228,9 @@ def tabular_agent(agent_class, env, tables, seed=0):
             if hasattr(agent, name):
                 setattr(agent, name, rng.normal(size=agent.q.shape))
     if tables == "solved":
-        next_state, reward, goal = env.transition_tables()
+        entries = np.array(env.transition_rows())   # [state, action, field]
+        next_state = entries[..., 0].astype(np.int64)
+        reward, goal = entries[..., 1], entries[..., 2] != 0
         for _ in range(200):
             agent.q = reward + 0.9 * np.where(
                 goal, 0.0, agent.q.max(axis=1)[next_state])
@@ -235,8 +238,8 @@ def tabular_agent(agent_class, env, tables, seed=0):
 
 
 class SteppedEnv:
-    """``env`` with its transition tables hidden, so run_episode steps
-    through it instead of walking its tables: the step-loop reference
+    """``env`` with its transition rows hidden, so run_episode steps
+    through it instead of walking its rows: the step-loop reference
     for the walks."""
 
     def __init__(self, env):
@@ -245,7 +248,7 @@ class SteppedEnv:
     def __getattr__(self, name):
         return getattr(self.env, name)
 
-    def transition_tables(self):
+    def transition_rows(self):
         return None
 
 

@@ -271,35 +271,49 @@ def test_taxi_dropoff_semantics():
 
 
 def test_taxi_moves_never_pay():
-    env = TaxiEnv()
-    assert np.all(env.reward[:, :4] == 0.0)
-    assert not env.terminal[:, :4].any()
+    for row in TaxiEnv().transition_rows():
+        for _, reward, goal in row[:4]:
+            assert reward == 0.0
+            assert not goal
 
 
 def test_taxi_tables_are_shared_and_read_only():
     first, second = TaxiEnv(), TaxiEnv(max_episode_steps=50)
-    for mine, theirs in zip(first.transition_tables(),
-                            second.transition_tables()):
-        assert mine is theirs
-        with pytest.raises(ValueError, match="read-only"):
-            mine[0, 0] = mine[0, 1]
+    rows = first.transition_rows()
+    assert rows is second.transition_rows()
+    assert type(rows) is tuple and len(rows) == 500
+    for row in rows:
+        assert type(row) is tuple and len(row) == 6
+        assert all(type(entry) is tuple and len(entry) == 3
+                   for entry in row)
 
 
-def test_taxi_step_returns_plain_table_entries():
-    env = TaxiEnv()
+PROBE_PARAMS = {"chain": {"n_states": 10}}
+
+
+@pytest.mark.parametrize("name, params", [
+    *((name, PROBE_PARAMS.get(name, {})) for name in env_names()),
+    ("chain", {"n_states": 10, "vector_obs": True}),
+], ids=[*env_names(), "chain-vector_obs"])
+def test_step_returns_plain_transition_row_entries(name, params):
+    env = make_env(name, **params)
+    rows = env.transition_rows()
+    if name != "taxi":
+        # steps draw, or states are continuous: no rows to walk
+        assert rows is None
+        return
     for s in range(500):
         for a in range(6):
             out = env.step(s, a, None)
             assert type(out.next_state) is int
             assert type(out.reward) is float
             assert type(out.goal) is bool
-            assert out == (env.next_state[s, a], env.reward[s, a],
-                           env.terminal[s, a])
+            assert out == rows[s][a]
 
 
 @pytest.mark.parametrize("action", [-1, 6])
 def test_taxi_step_rejects_actions_out_of_range(action):
-    # the tables' views would wrap -1 around to the last action
+    # the rows are tuples, which would wrap -1 around to the last action
     with pytest.raises(ValueError, match="invalid taxi action"):
         TaxiEnv().step(0, action, None)
 
